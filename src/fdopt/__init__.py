@@ -13,7 +13,6 @@ from .config import LoadedConfig, build_config, load_config, parse_config
 from .errors import (
     ConfigError,
     DataError,
-    EigenConvergenceError,
     FdoptError,
     NonFiniteDataError,
     NonFiniteLossError,
@@ -80,7 +79,6 @@ __all__ = [
     "CALIBRATION_SIZES",
     "ConfigError",
     "DataError",
-    "EigenConvergenceError",
     "EmaState",
     "FdGradient",
     "FdoptError",

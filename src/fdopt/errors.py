@@ -34,19 +34,7 @@ class ConfigError(DataError):
 
 
 class NumericalError(FdoptError):
-    """Numerical failure: solver non-convergence, non-finite loss."""
-
-
-class EigenConvergenceError(NumericalError):
-    """Jacobi sweep budget exhausted before the off-diagonal norm converged."""
-
-    def __init__(self, residual: float, budget: int):
-        self.residual = residual
-        self.budget = budget
-        super().__init__(
-            f"eigensolver did not converge within {budget} rotations "
-            f"(off-diagonal residual {residual:.3e})"
-        )
+    """Numerical failure: eigensolver failure, non-finite loss."""
 
 
 class NonFiniteLossError(NumericalError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NonFiniteDataError, NumericalError
-from .symlin import check_symmetric, eig_sym, sqrt_psd, trace_sqrt_product
+from .symlin import check_symmetric, congruence_eig, sqrt_psd
 
 log = logging.getLogger("fdopt.frechet")
 
@@ -75,7 +75,8 @@ class ReferenceStats:
 
 
 def make_reference(stats: GaussianStats) -> ReferenceStats:
-    return ReferenceStats(stats=stats, sigma_root=sqrt_psd(stats.sigma))
+    root = sqrt_psd(stats.sigma, "reference sigma")
+    return ReferenceStats(stats=stats, sigma_root=root)
 
 
 def stats_from_features(features: np.ndarray) -> GaussianStats:
@@ -104,13 +105,19 @@ def _check_dims(ref: ReferenceStats, gen: GaussianStats):
 
 def fd(ref: ReferenceStats, gen: GaussianStats) -> float:
     """Frechet distance; tiny clamp-induced negatives are floored to zero."""
+    return _value(ref, gen)[0]
+
+
+def _value(ref: ReferenceStats, gen: GaussianStats):
+    """fd value plus the eigenpairs of R sigma_g R, which the gradient reuses."""
     _check_dims(ref, gen)
+    w, v = congruence_eig(ref.sigma_root, gen.sigma)
     mean_term = float(np.sum((ref.stats.mu - gen.mu) ** 2))
     trace_ref = float(np.trace(ref.stats.sigma))
     trace_gen = float(np.trace(gen.sigma))
-    cross = trace_sqrt_product(ref.sigma_root, gen.sigma)
+    cross = float(np.sqrt(np.maximum(w, 0.0)).sum())
     raw = mean_term + trace_ref + trace_gen - 2.0 * cross
-    return _report_fd(raw, trace_ref, trace_gen)
+    return _report_fd(raw, trace_ref, trace_gen), w, v
 
 
 def _report_fd(raw: float, trace_ref: float, trace_gen: float) -> float:
@@ -149,38 +156,22 @@ def fd_grad_stats(
 ) -> FdGradient:
     """Closed-form gradient: d_mu = 2 (mu_g - mu_r),
     d_sigma = I - R C^{-1/2} R with C = R sigma_g R floored at eps_floor."""
-    _, grad = _value_and_grad(ref, gen, eps_floor)
-    return grad
+    return fd_with_grad(ref, gen, eps_floor)[1]
 
 
 def fd_with_grad(
     ref: ReferenceStats, gen: GaussianStats, eps_floor: float | None = None
 ):
     """fd value and gradient from a single eigendecomposition."""
-    return _value_and_grad(ref, gen, eps_floor)
-
-
-def _value_and_grad(ref, gen, eps_floor):
-    _check_dims(ref, gen)
     if eps_floor is None:
         eps_floor = default_grad_floor(ref)
-    root = ref.sigma_root
-    inner = root @ gen.sigma @ root
-    inner = 0.5 * (inner + inner.T)
-    w, v = eig_sym(inner)
-
-    clamped = np.maximum(w, 0.0)
-    mean_term = float(np.sum((ref.stats.mu - gen.mu) ** 2))
-    trace_ref = float(np.trace(ref.stats.sigma))
-    trace_gen = float(np.trace(gen.sigma))
-    raw = mean_term + trace_ref + trace_gen - 2.0 * float(np.sqrt(clamped).sum())
-    value = _report_fd(raw, trace_ref, trace_gen)
-
+    value, w, v = _value(ref, gen)
     degenerate = bool(w.min() < eps_floor)
     # tiny absolute floor keeps the inverse root finite even for a zero-trace
     # reference
     floored = np.maximum(w, max(eps_floor, 1e-300))
     inv_root = (v / np.sqrt(floored)) @ v.T
+    root = ref.sigma_root
     d_sigma = np.eye(ref.dim) - root @ inv_root @ root
     d_sigma = 0.5 * (d_sigma + d_sigma.T)
     d_mu = 2.0 * (gen.mu - ref.stats.mu)

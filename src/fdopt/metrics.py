@@ -106,12 +106,16 @@ def build_report(
                 f"{name}: train stats have dim {ref.dim}, representation "
                 f"produces {spec.out_dim}"
             )
-        fd_val = fd(ref, stats_from_features(featurize(spec, val_samples)))
+        val_stats = stats_from_features(featurize(spec, val_samples))
+        fd_val = fd(ref, val_stats)
         fd_gen = fd(ref, stats_from_features(featurize(spec, gen_samples)))
-        if fd_val == 0.0:
+        # FD of a split against itself is rounding noise on the scale of the
+        # traces, not exactly 0
+        tol = 1e-9 * float(np.trace(ref.stats.sigma) + np.trace(val_stats.sigma))
+        if fd_val <= tol:
             raise DataError(
                 f"{name}: validation split is indistinguishable from the "
-                "reference (FD = 0); ratio undefined"
+                f"reference (FD = {fd_val:.3e} <= {tol:.3e}); ratio undefined"
             )
         rows.append(
             FdrRow(

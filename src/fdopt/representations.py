@@ -128,7 +128,7 @@ def featurize(spec: RepresentationSpec, samples: np.ndarray) -> np.ndarray:
 def featurize_backprop(
     spec: RepresentationSpec, samples: np.ndarray, feature_grads: np.ndarray
 ) -> np.ndarray:
-    """Vector-Jacobian product of featurize at `samples`."""
+    """Backprop of featurize at `samples`: feature gradients to sample gradients."""
     samples = _check_samples(spec, samples)
     feature_grads = np.asarray(feature_grads, dtype=np.float64)
     if feature_grads.shape != (samples.shape[0], spec.out_dim):

@@ -61,10 +61,6 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK64
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return mix64(self._state)
-
     def _raw(self, n: int) -> np.ndarray:
         # states are seed + GOLDEN * k, so a block can be produced in one shot
         offsets = np.arange(1, n + 1, dtype=np.uint64)
@@ -101,7 +97,3 @@ class SplitMix64:
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.normals(rows * cols).reshape(rows, cols)
-
-    def spawn(self, *parts) -> "SplitMix64":
-        """Child stream keyed by this stream's next output plus labels."""
-        return SplitMix64(derive_seed(self.next_u64(), *parts))

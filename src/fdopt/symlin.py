@@ -1,9 +1,9 @@
 """Dense symmetric eigendecomposition and the PSD primitives built on it.
 
-Everything here is pure-function, double precision, and deterministic: the
-eigensolver is a cyclic Jacobi sweep rather than a LAPACK call, so results do
-not depend on the BLAS build. Dimensions are desk scale (d <= ~256); no
-attempt is made to be fast beyond that.
+Everything here is pure-function and double precision. The eigensolver is
+LAPACK's symmetric driver (``np.linalg.eigh``) behind an input check, so a
+run is byte-reproducible on a given machine and BLAS build. Callers use
+eigenvectors only through V f(w) V^T, which does not depend on their signs.
 """
 
 from __future__ import annotations
@@ -12,15 +12,11 @@ import logging
 
 import numpy as np
 
-from .errors import DataError, EigenConvergenceError, NonFiniteDataError
+from .errors import DataError, NonFiniteDataError, NumericalError
 
 log = logging.getLogger("fdopt.symlin")
 
 SYMMETRY_TOL = 1e-10
-# Jacobi stops when the off-diagonal Frobenius norm falls below
-# JACOBI_TOL * max(1, ||A||_F); the budget is counted in Givens rotations.
-JACOBI_TOL = 1e-12
-JACOBI_ROTATION_BUDGET = 100  # times d^2
 
 
 def check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -47,95 +43,24 @@ def check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def eig_sym(a: np.ndarray, name: str = "matrix"):
+    """(eigenvalues ascending, orthonormal eigenvectors as columns) of a
+    symmetric matrix, with A = V diag(w) V^T. A LAPACK failure is raised as
+    NumericalError naming the matrix."""
+    a = check_symmetric(a, name)
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition of {name} failed: {exc}") from exc
 
 
-def _canonical_order(values: np.ndarray, vectors: np.ndarray):
-    """Ascending eigenvalues; each vector's first nonzero component positive."""
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        cutoff = 1e-12 * np.abs(col).max()
-        nonzero = np.nonzero(np.abs(col) > cutoff)[0]
-        if nonzero.size and col[nonzero[0]] < 0.0:
-            vectors[:, k] = -col
-    return values, vectors
-
-
-def eig_sym(a: np.ndarray):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues ascending, orthonormal eigenvectors as columns) with
-    A = V diag(w) V^T. Raises EigenConvergenceError if the rotation budget
-    (100 * d^2) is exhausted, carrying the residual off-diagonal norm.
-    """
-    a = check_symmetric(a)
-    d = a.shape[0]
-    v = np.eye(d)
-    if d == 1:
-        return a[0, :1].copy(), v
-    work = a.copy()
-    tol = JACOBI_TOL * max(1.0, float(np.linalg.norm(a)))
-    budget = JACOBI_ROTATION_BUDGET * d * d
-    rotations = 0
-    # below this, an entry cannot push the off-norm above tol even if every
-    # off-diagonal entry were this large
-    skip = tol / d
-    while True:
-        off = _off_norm(work)
-        if off <= tol:
-            break
-        if rotations >= budget:
-            raise EigenConvergenceError(residual=off, budget=budget)
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = work[p, q]
-                if abs(apq) <= skip:
-                    continue
-                rotations += 1
-                theta = 0.5 * (work[q, q] - work[p, p]) / apq
-                t = np.sign(theta) if theta != 0.0 else 1.0
-                t = t / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                col_p = c * work[:, p] - s * work[:, q]
-                col_q = s * work[:, p] + c * work[:, q]
-                work[:, p] = col_p
-                work[:, q] = col_q
-                row_p = c * work[p, :] - s * work[q, :]
-                row_q = s * work[p, :] + c * work[q, :]
-                work[p, :] = row_p
-                work[q, :] = row_q
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                vec_p = c * v[:, p] - s * v[:, q]
-                vec_q = s * v[:, p] + c * v[:, q]
-                v[:, p] = vec_p
-                v[:, q] = vec_q
-    return _canonical_order(np.diag(work).copy(), v)
-
-
-def psd_project(a: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Clamp eigenvalues at ``floor`` (>= 0) and rebuild the matrix."""
-    if floor < 0.0:
-        raise DataError(f"floor must be nonnegative, got {floor}")
-    w, v = eig_sym(a)
-    clamped = np.maximum(w, floor)
-    out = (v * clamped) @ v.T
-    return 0.5 * (out + out.T)
-
-
-def sqrt_psd(a: np.ndarray) -> np.ndarray:
+def sqrt_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
     Eigenvalues below -1e-8 * trace/dim trigger a warning in the computation
     log; all negative eigenvalues are clamped to zero before the root.
     """
-    w, v = eig_sym(a)
+    w, v = eig_sym(a, name)
     d = a.shape[0]
     trace = float(np.trace(np.asarray(a, dtype=np.float64)))
     threshold = -1e-8 * max(trace, 0.0) / d
@@ -149,11 +74,10 @@ def sqrt_psd(a: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def trace_sqrt_product(ref_root: np.ndarray, gen_cov: np.ndarray) -> float:
-    """Tr((R C R)^{1/2}) for R = ref_root, C = gen_cov, via eigenvalues.
+def congruence_eig(ref_root: np.ndarray, gen_cov: np.ndarray):
+    """Eigenpairs of the symmetric congruence R C R, R = ref_root, C = gen_cov.
 
-    Equals Tr((R^2 C)^{1/2}) when both R^2 and C are PSD. Negative
-    eigenvalues of the congruence are clamped to zero; clamps larger than
+    Callers clamp negative eigenvalues to zero; clamps larger than
     1e-8 * trace are reported in the computation log.
     """
     ref_root = np.asarray(ref_root, dtype=np.float64)
@@ -164,12 +88,18 @@ def trace_sqrt_product(ref_root: np.ndarray, gen_cov: np.ndarray) -> float:
         )
     inner = ref_root @ gen_cov @ ref_root
     inner = 0.5 * (inner + inner.T)
-    w, _ = eig_sym(inner)
-    negative = w[w < 0.0]
-    if negative.size:
-        worst = float(-negative.min())
-        if worst > 1e-8 * abs(float(np.trace(inner))):
-            log.warning(
-                "trace_sqrt_product: clamping eigenvalue of magnitude %.6e", worst
-            )
+    w, v = eig_sym(inner, "congruence R C R")
+    worst = -float(w.min())
+    if worst > 1e-8 * abs(float(np.trace(inner))):
+        log.warning("congruence_eig: clamping eigenvalue of magnitude %.6e", worst)
+    return w, v
+
+
+def trace_sqrt_product(ref_root: np.ndarray, gen_cov: np.ndarray) -> float:
+    """Tr((R C R)^{1/2}) for R = ref_root, C = gen_cov, via eigenvalues.
+
+    Equals Tr((R^2 C)^{1/2}) when both R^2 and C are PSD. Negative
+    eigenvalues of the congruence are clamped to zero.
+    """
+    w, _ = congruence_eig(ref_root, gen_cov)
     return float(np.sqrt(np.maximum(w, 0.0)).sum())

@@ -47,6 +47,7 @@ from .frechet import (
     make_reference,
     stats_from_features,
 )
+from .metrics import rep_labels
 from .representations import (
     RepresentationEnsemble,
     ensemble_loss,
@@ -296,11 +297,12 @@ class TargetSpec:
             )
         roots = []
         for i in range(k):
-            cov = check_symmetric(covs[i], name=f"component {i} covariance")
-            w = eig_sym(cov)[0]
+            name = f"component {i} covariance"
+            cov = check_symmetric(covs[i], name=name)
+            w = eig_sym(cov, name)[0]
             if w.min() < -1e-8 * max(abs(np.trace(cov)), 1.0):
-                raise DataError(f"component {i} covariance is not PSD")
-            roots.append(sqrt_psd(cov))
+                raise DataError(f"{name} is not PSD")
+            roots.append(sqrt_psd(cov, name))
             covs[i] = cov
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)
@@ -466,10 +468,6 @@ class MetricsLog:
         ]
 
 
-def _rep_labels(ensemble: RepresentationEnsemble) -> tuple[str, ...]:
-    return tuple(f"rep{i}_{s.kind}" for i, s in enumerate(ensemble.specs))
-
-
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -554,7 +552,7 @@ def post_train(
         )
     refs = _references(config)
     states = _fresh_estimators(config)
-    log = MetricsLog(labels=_rep_labels(config.ensemble))
+    log = MetricsLog(labels=rep_labels(config.ensemble))
 
     warm_stream = SplitMix64(derive_seed("warm-start-noise", config.seed))
     zw = warm_stream.normal_matrix(config.effective_warm_start, config.z_dim)

@@ -1,6 +1,10 @@
 """CLI subcommands: exit codes, printed values, and byte determinism."""
 
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +177,19 @@ class TestComputeStatsAndFd:
         )
         assert cli_dispatch(["fd", "--ref", out, "--gen", out]) == 0
         assert capsys.readouterr().out.strip() == "0.000000"
+
+    def test_eigensolver_failure_is_exit_3(self, workspace, monkeypatch, capsys):
+        out = path(workspace, "train.stats")
+        cli_dispatch(
+            ["compute-stats", "--features", path(workspace, "train.bin"), "--out", out]
+        )
+
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        assert cli_dispatch(["fd", "--ref", out, "--gen", out]) == 3
+        assert "reference sigma" in capsys.readouterr().err
 
     def test_fd_on_features_matches_library(self, workspace, capsys):
         stats_path = path(workspace, "train.stats")
@@ -393,6 +410,32 @@ class TestPipeline:
         )
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+QUEUE_64D_CONFIG = (
+    CONFIG_TEXT.replace("total_steps = 25", "total_steps = 6")
+    .replace("kind = ema\nbeta = 0.9", "kind = queue\ncapacity = 128")
+    .replace("rep.1.out_dim = 6", "rep.1.out_dim = 64")
+)
+
+
+def test_training_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """fdopt train writes the same checkpoint and log with 1 and 2 BLAS threads."""
+    config = tmp_path / "queue64.cfg"
+    config.write_text(QUEUE_64D_CONFIG, encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        ckpt, log = tmp_path / f"m{threads}.ckpt", tmp_path / f"log{threads}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "fdopt.cli", "train", "--config", str(config),
+             "--out", str(ckpt), "--log", str(log)],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append((ckpt.read_bytes(), log.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 class TestReport:

@@ -133,6 +133,15 @@ class TestBuildReport:
         with pytest.raises(DataError, match="rep0_identity"):
             build_report(ensemble, [stats_from_features(train)], train, gen)
 
+    def test_rejects_degenerate_validation_in_curved_space(self):
+        # FD of a tanh_rf split against itself is rounding noise, not 0
+        spec = RepresentationSpec(kind="tanh_rf", seed=2, in_dim=2, out_dim=6)
+        ensemble = RepresentationEnsemble(specs=(spec,))
+        train, _, gen = split_populations(seed=7, n_train=512)
+        stats = [stats_from_features(featurize(spec, train))]
+        with pytest.raises(DataError, match="rep0_tanh_rf"):
+            build_report(ensemble, stats, train, gen)
+
     def test_labels(self):
         assert rep_labels(four_kind_ensemble()) == (
             "rep0_identity",
