@@ -38,9 +38,16 @@ class NumericalError(FdoptError):
 
 
 class NonFiniteLossError(NumericalError):
-    """Training loss became NaN/Inf; carries the step and last good model."""
+    """Training went non-finite: carries the step, the quantity (samples,
+    features, loss or parameters), the representation label when one
+    applies, and the last model whose parameters were all finite."""
 
-    def __init__(self, step: int, last_good_model=None):
+    def __init__(
+        self, step: int, quantity: str = "loss", label=None, last_good_model=None
+    ):
         self.step = step
+        self.quantity = quantity
+        self.label = label
         self.last_good_model = last_good_model
-        super().__init__(f"non-finite loss at step {step}")
+        where = f" in {label}" if label is not None else ""
+        super().__init__(f"non-finite {quantity} at step {step}{where}")

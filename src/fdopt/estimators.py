@@ -9,6 +9,10 @@ backprop, matching the update order
 
 States are immutable value types; commit operations return new states, so
 blend/read never observes a half-applied update.
+
+The public functions check their inputs and run the unchecked kernels at
+the end of this module, which the training loop calls directly, once per
+representation per step.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, NonFiniteDataError
-from .frechet import GaussianStats, stats_from_features
+from .frechet import GaussianStats, population_stats
 
 __all__ = [
     "QueueState",
@@ -44,6 +48,16 @@ def _check_batch(batch: np.ndarray, dim: int) -> np.ndarray:
     if not np.isfinite(batch).all():
         raise NonFiniteDataError("batch contains non-finite entries")
     return batch
+
+
+def _require_warm(state) -> None:
+    if isinstance(state, QueueState) and state.fill < state.capacity:
+        raise DataError(
+            f"queue holds {state.fill}/{state.capacity} rows; call warm_start "
+            "before computing statistics"
+        )
+    if isinstance(state, EmaState) and not state.initialized:
+        raise DataError("EMA state is uninitialized; call warm_start first")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,27 +99,30 @@ def queue_contents(q: QueueState) -> np.ndarray:
 
 def queue_stats_with_batch(q: QueueState, batch: np.ndarray) -> GaussianStats:
     """Statistics over the stored rows plus the live batch (fill + B rows)."""
-    if q.fill < q.capacity:
-        raise DataError(
-            f"queue holds {q.fill}/{q.capacity} rows; call warm_start before "
-            "computing statistics"
-        )
-    batch = _check_batch(batch, q.dim)
-    return stats_from_features(np.concatenate([queue_contents(q), batch], axis=0))
+    _require_warm(q)
+    stats = estimate(q, _check_batch(batch, q.dim))[0]
+    # validated again: finite rows can still overflow the covariance
+    return GaussianStats(stats.mu, stats.sigma, stats.weight)
 
 
 def queue_commit(q: QueueState, batch: np.ndarray) -> QueueState:
     """Replace the B oldest rows with the batch (FIFO); returns the new state."""
     batch = _check_batch(batch, q.dim)
+    if batch.shape[0] > q.capacity:
+        raise DataError(
+            f"batch of {batch.shape[0]} rows exceeds queue capacity {q.capacity}"
+        )
+    return _queue_push(q, batch)
+
+
+def _queue_push(q: QueueState, batch: np.ndarray) -> QueueState:
     b = batch.shape[0]
-    if b > q.capacity:
-        raise DataError(f"batch of {b} rows exceeds queue capacity {q.capacity}")
     buffer = q.buffer.copy()
     if q.fill < q.capacity:
         take = min(b, q.capacity - q.fill)
         buffer[q.fill : q.fill + take] = batch[:take]
         state = QueueState(buffer=buffer, fill=q.fill + take, cursor=0)
-        return queue_commit(state, batch[take:]) if take < b else state
+        return _queue_push(state, batch[take:]) if take < b else state
     idx = (q.cursor + np.arange(b)) % q.capacity
     buffer[idx] = batch
     return QueueState(buffer=buffer, fill=q.fill, cursor=int((q.cursor + b) % q.capacity))
@@ -150,6 +167,10 @@ def ema_batch_moments(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(f"batch must be a nonempty B x d matrix, got {batch.shape}")
     if not np.isfinite(batch).all():
         raise NonFiniteDataError("batch contains non-finite entries")
+    return _batch_moments(batch)
+
+
+def _batch_moments(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mu_b = batch.mean(axis=0)
     m_b = batch.T @ batch / batch.shape[0]
     return mu_b, 0.5 * (m_b + m_b.T)
@@ -163,14 +184,17 @@ def ema_blend(
     Returns (mu_g, m_g, sigma_g) with mu_g = beta mu_ema + (1-beta) mu_b,
     m_g likewise, and sigma_g = m_g - mu_g mu_g^T.
     """
-    if not s.initialized:
-        raise DataError("EMA state is uninitialized; call warm_start first")
+    _require_warm(s)
     mu_b = np.asarray(mu_b, dtype=np.float64)
     m_b = np.asarray(m_b, dtype=np.float64)
     if mu_b.shape != (s.dim,) or m_b.shape != (s.dim, s.dim):
         raise DataError(
             f"moment shapes {mu_b.shape}/{m_b.shape} do not match state dim {s.dim}"
         )
+    return _blend(s, mu_b, m_b)
+
+
+def _blend(s: EmaState, mu_b: np.ndarray, m_b: np.ndarray):
     mu_g = s.beta * s.mu_ema + (1.0 - s.beta) * mu_b
     m_g = s.beta * s.m_ema + (1.0 - s.beta) * m_b
     sigma_g = m_g - np.outer(mu_g, mu_g)
@@ -213,7 +237,7 @@ def warm_start(estimator, samples: np.ndarray):
             cursor=0,
         )
     if isinstance(estimator, EmaState):
-        mu0, m0 = ema_batch_moments(_check_batch(samples, estimator.dim))
+        mu0, m0 = _batch_moments(_check_batch(samples, estimator.dim))
         return replace(estimator, mu_ema=mu0, m_ema=m0, initialized=True)
     raise DataError(f"unknown estimator type {type(estimator).__name__}")
 
@@ -229,14 +253,8 @@ def estimator_backprop(
 
     d_mu/d_sigma are gradients with respect to the statistics this
     estimator produced for this batch (d_sigma in the full-matrix
-    convention of FdGradient). Only the B live rows receive gradient.
-
-    queue (M = fill + B, mu = combined mean):
-        grad(x_i) = (1/M) d_mu + (2/M) d_sigma (x_i - mu)
-    ema (a = (1-beta)/B):
-        grad(x_i) = a (d_mu - 2 d_sigma mu_g) + 2a d_sigma x_i
-    where the -2 a d_sigma mu_g term is the -mu mu^T part of the covariance
-    recovery differentiated through the blend.
+    convention of FdGradient). Only the B live rows receive gradient; see
+    backprop_estimate for the formulas.
     """
     d_mu = np.asarray(d_mu, dtype=np.float64)
     d_sigma = np.asarray(d_sigma, dtype=np.float64)
@@ -247,18 +265,56 @@ def estimator_backprop(
             f"gradient shapes {d_mu.shape}/{d_sigma.shape} do not match "
             f"state dim {state.dim}"
         )
+    want = {"queue": QueueState, "ema": EmaState}.get(kind)
+    if want is None:
+        raise DataError(f"unknown estimator kind {kind!r}")
+    if not isinstance(state, want):
+        raise DataError(f"kind {kind!r} requires state type {want.__name__}")
+    _require_warm(state)
+    mu = estimate(state, batch)[0].mu
+    return backprop_estimate(state, batch, mu, d_mu, d_sigma)
+
+
+# ---------------------------------------------------------------------------
+# kernels: one pass per featurized batch, on inputs the caller has checked
+
+
+def estimate(state, batch: np.ndarray):
+    """(stats, m_g): the statistics entering the distance for a finite B x d
+    batch and a warm-started state, and the blended second moment an EMA
+    commit stores (None for a queue). stats.mu is the mean backprop needs:
+    the combined mean for a queue, the blended mu_g for EMA."""
+    if isinstance(state, QueueState):
+        rows = np.concatenate([queue_contents(state), batch], axis=0)
+        return population_stats(rows), None
+    mu_g, m_g, sigma_g = _blend(state, *_batch_moments(batch))
+    return GaussianStats.trusted(mu_g, sigma_g, ema_effective_weight(state.beta)), m_g
+
+
+def backprop_estimate(
+    state, batch: np.ndarray, mu: np.ndarray, d_mu: np.ndarray, d_sigma: np.ndarray
+) -> np.ndarray:
+    """Gradient on the batch rows from gradients on the estimated stats,
+    whose mean is mu; d_sigma must be exactly symmetric.
+
+    queue (M = fill + B, mu = combined mean):
+        grad(x_i) = (1/M) d_mu + (2/M) d_sigma (x_i - mu)
+    ema (a = (1-beta)/B):
+        grad(x_i) = a (d_mu - 2 d_sigma mu_g) + 2a d_sigma x_i
+    where the -2 a d_sigma mu_g term is the -mu mu^T part of the covariance
+    recovery differentiated through the blend.
+    """
     b = batch.shape[0]
-    if kind == "queue":
-        if not isinstance(state, QueueState):
-            raise DataError("kind 'queue' requires a QueueState")
+    if isinstance(state, QueueState):
         m = state.fill + b
-        mu = queue_stats_with_batch(state, batch).mu
         return d_mu / m + (2.0 / m) * (batch - mu) @ d_sigma
-    if kind == "ema":
-        if not isinstance(state, EmaState):
-            raise DataError("kind 'ema' requires an EmaState")
-        mu_b, m_b = ema_batch_moments(batch)
-        mu_g, _, _ = ema_blend(state, mu_b, m_b)
-        a = (1.0 - state.beta) / b
-        return a * (d_mu - 2.0 * d_sigma @ mu_g) + (2.0 * a) * batch @ d_sigma
-    raise DataError(f"unknown estimator kind {kind!r}")
+    a = (1.0 - state.beta) / b
+    return a * (d_mu - 2.0 * d_sigma @ mu) + (2.0 * a) * batch @ d_sigma
+
+
+def commit_estimate(state, batch: np.ndarray, stats: GaussianStats, m_g):
+    """The state after the step: the batch pushed into the queue, or the
+    blended EMA moments (stats.mu, m_g) stored."""
+    if isinstance(state, QueueState):
+        return _queue_push(state, batch)
+    return replace(state, mu_ema=stats.mu, m_ema=m_g)

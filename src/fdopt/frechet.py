@@ -57,6 +57,16 @@ class GaussianStats:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "weight", float(self.weight))
 
+    @classmethod
+    def trusted(cls, mu: np.ndarray, sigma: np.ndarray, weight: float):
+        """Wrap float64 moments the caller built finite and exactly symmetric,
+        without checking them again."""
+        stats = object.__new__(cls)
+        object.__setattr__(stats, "mu", mu)
+        object.__setattr__(stats, "sigma", sigma)
+        object.__setattr__(stats, "weight", weight)
+        return stats
+
     @property
     def dim(self) -> int:
         return self.mu.size
@@ -91,16 +101,18 @@ def stats_from_features(features: np.ndarray) -> GaussianStats:
     if not finite_rows.all():
         bad = int(np.nonzero(~finite_rows)[0][0])
         raise NonFiniteDataError(f"features row {bad} contains non-finite entries")
+    stats = population_stats(features)
+    # validated again: finite rows can still overflow the covariance
+    return GaussianStats(stats.mu, stats.sigma, stats.weight)
+
+
+def population_stats(features: np.ndarray) -> GaussianStats:
+    """stats_from_features for a finite float64 n x d matrix, unchecked."""
+    n = features.shape[0]
     mu = features.mean(axis=0)
     centered = features - mu
     sigma = centered.T @ centered / n
-    sigma = 0.5 * (sigma + sigma.T)
-    return GaussianStats(mu=mu, sigma=sigma, weight=float(n))
-
-
-def _check_dims(ref: ReferenceStats, gen: GaussianStats):
-    if ref.dim != gen.dim:
-        raise DataError(f"dimension mismatch: ref dim {ref.dim} vs gen dim {gen.dim}")
+    return GaussianStats.trusted(mu, 0.5 * (sigma + sigma.T), float(n))
 
 
 def fd(ref: ReferenceStats, gen: GaussianStats) -> float:
@@ -110,7 +122,8 @@ def fd(ref: ReferenceStats, gen: GaussianStats) -> float:
 
 def _value(ref: ReferenceStats, gen: GaussianStats):
     """fd value plus the eigenpairs of R sigma_g R, which the gradient reuses."""
-    _check_dims(ref, gen)
+    if ref.dim != gen.dim:
+        raise DataError(f"dimension mismatch: ref dim {ref.dim} vs gen dim {gen.dim}")
     w, v = congruence_eig(ref.sigma_root, gen.sigma)
     mean_term = float(np.sum((ref.stats.mu - gen.mu) ** 2))
     trace_ref = float(np.trace(ref.stats.sigma))

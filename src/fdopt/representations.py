@@ -114,7 +114,11 @@ def _check_samples(spec: RepresentationSpec, samples: np.ndarray) -> np.ndarray:
 
 
 def featurize(spec: RepresentationSpec, samples: np.ndarray) -> np.ndarray:
-    samples = _check_samples(spec, samples)
+    return feature_map(spec, _check_samples(spec, samples))
+
+
+def feature_map(spec: RepresentationSpec, samples: np.ndarray) -> np.ndarray:
+    """featurize for a float64 B x in_dim matrix the caller has checked."""
     if spec.kind == "identity":
         return samples.copy()
     if spec.kind == "quadratic":
@@ -136,6 +140,18 @@ def featurize_backprop(
             f"feature_grads must be {samples.shape[0]} x {spec.out_dim}, "
             f"got {feature_grads.shape}"
         )
+    return feature_map_backprop(
+        spec, samples, feature_map(spec, samples), feature_grads
+    )
+
+
+def feature_map_backprop(
+    spec: RepresentationSpec,
+    samples: np.ndarray,
+    features: np.ndarray,
+    feature_grads: np.ndarray,
+) -> np.ndarray:
+    """featurize_backprop on checked inputs, reusing the forward's features."""
     if spec.kind == "identity":
         return feature_grads.copy()
     if spec.kind == "quadratic":
@@ -149,10 +165,9 @@ def featurize_backprop(
         np.add.at(out, iu_i, (g_quad * samples[:, iu_j]).T)
         np.add.at(out, iu_j, (g_quad * samples[:, iu_i]).T)
         return out.T
-    w, b = _frozen_params(spec)
+    w, _ = _frozen_params(spec)
     if spec.kind == "tanh_rf":
-        act = np.tanh(samples @ w.T + b)
-        feature_grads = feature_grads * (1.0 - act * act)
+        feature_grads = feature_grads * (1.0 - features * features)
     return feature_grads @ w
 
 

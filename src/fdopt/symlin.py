@@ -47,7 +47,12 @@ def eig_sym(a: np.ndarray, name: str = "matrix"):
     """(eigenvalues ascending, orthonormal eigenvectors as columns) of a
     symmetric matrix, with A = V diag(w) V^T. A LAPACK failure is raised as
     NumericalError naming the matrix."""
-    a = check_symmetric(a, name)
+    return eig_symmetrized(check_symmetric(a, name), name)
+
+
+def eig_symmetrized(a: np.ndarray, name: str):
+    """eig_sym for a float64 matrix the caller has already checked or made
+    exactly symmetric; the input is not checked again."""
     try:
         return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -55,19 +60,25 @@ def eig_sym(a: np.ndarray, name: str = "matrix"):
 
 
 def sqrt_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
+    """Symmetric PSD square root via eigendecomposition (see psd_root)."""
+    a = check_symmetric(a, name)
+    w, v = eig_symmetrized(a, name)
+    return psd_root(w, v, float(np.trace(a)), name)
+
+
+def psd_root(w: np.ndarray, v: np.ndarray, trace: float, name: str) -> np.ndarray:
+    """Symmetric root V diag(sqrt(w)) V^T from the eigenpairs of a matrix
+    with the given trace.
 
     Eigenvalues below -1e-8 * trace/dim trigger a warning in the computation
     log; all negative eigenvalues are clamped to zero before the root.
     """
-    w, v = eig_sym(a, name)
-    d = a.shape[0]
-    trace = float(np.trace(np.asarray(a, dtype=np.float64)))
-    threshold = -1e-8 * max(trace, 0.0) / d
+    threshold = -1e-8 * max(trace, 0.0) / w.size
     low = float(w.min())
     if low < threshold:
         log.warning(
-            "sqrt_psd: eigenvalue %.6e below tolerance %.6e; clamping", low, threshold
+            "sqrt_psd: eigenvalue %.6e of %s below tolerance %.6e; clamping",
+            low, name, threshold,
         )
     roots = np.sqrt(np.maximum(w, 0.0))
     out = (v * roots) @ v.T
@@ -78,7 +89,9 @@ def congruence_eig(ref_root: np.ndarray, gen_cov: np.ndarray):
     """Eigenpairs of the symmetric congruence R C R, R = ref_root, C = gen_cov.
 
     Callers clamp negative eigenvalues to zero; clamps larger than
-    1e-8 * trace are reported in the computation log.
+    1e-8 * trace are reported in the computation log. The congruence is
+    symmetrized here, so only its shape is checked; callers pass a checked
+    root and covariance.
     """
     ref_root = np.asarray(ref_root, dtype=np.float64)
     gen_cov = np.asarray(gen_cov, dtype=np.float64)
@@ -88,7 +101,7 @@ def congruence_eig(ref_root: np.ndarray, gen_cov: np.ndarray):
         )
     inner = ref_root @ gen_cov @ ref_root
     inner = 0.5 * (inner + inner.T)
-    w, v = eig_sym(inner, "congruence R C R")
+    w, v = eig_symmetrized(inner, "congruence R C R")
     worst = -float(w.min())
     if worst > 1e-8 * abs(float(np.trace(inner))):
         log.warning("congruence_eig: clamping eigenvalue of magnitude %.6e", worst)
@@ -101,5 +114,7 @@ def trace_sqrt_product(ref_root: np.ndarray, gen_cov: np.ndarray) -> float:
     Equals Tr((R^2 C)^{1/2}) when both R^2 and C are PSD. Negative
     eigenvalues of the congruence are clamped to zero.
     """
+    ref_root = check_symmetric(ref_root, "ref_root")
+    gen_cov = check_symmetric(gen_cov, "gen_cov")
     w, _ = congruence_eig(ref_root, gen_cov)
     return float(np.sqrt(np.maximum(w, 0.0)).sum())

@@ -28,14 +28,11 @@ from .errors import ConfigError, DataError, NonFiniteDataError, NonFiniteLossErr
 from .estimators import (
     EmaState,
     QueueState,
-    ema_batch_moments,
-    ema_blend,
-    ema_commit,
+    backprop_estimate,
+    commit_estimate,
     ema_effective_weight,
-    estimator_backprop,
-    queue_commit,
+    estimate,
     queue_contents,
-    queue_stats_with_batch,
     warm_start,
 )
 from .formats import read_features
@@ -51,11 +48,12 @@ from .metrics import rep_labels
 from .representations import (
     RepresentationEnsemble,
     ensemble_loss,
+    feature_map,
+    feature_map_backprop,
     featurize,
-    featurize_backprop,
 )
 from .rng import SplitMix64, derive_seed
-from .symlin import check_symmetric, eig_sym, sqrt_psd
+from .symlin import check_symmetric, eig_symmetrized, psd_root
 
 ADAM_EPS = 1e-8
 
@@ -130,6 +128,14 @@ class GeneratorModel:
             biases.append(np.zeros(fan_out))
         return cls(weights=tuple(weights), biases=tuple(biases))
 
+    @classmethod
+    def trusted(cls, weights: tuple, biases: tuple) -> "GeneratorModel":
+        """Wrap finite, shape-consistent layers without checking them again."""
+        model = object.__new__(cls)
+        object.__setattr__(model, "weights", weights)
+        object.__setattr__(model, "biases", biases)
+        return model
+
     def params(self) -> list[np.ndarray]:
         out = []
         for w, b in zip(self.weights, self.biases):
@@ -157,6 +163,23 @@ def _forward(model: GeneratorModel, z: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
+def _backprop(
+    model: GeneratorModel, acts: list[np.ndarray], sample_grads: np.ndarray
+) -> list[np.ndarray]:
+    """Parameter gradients, ordered as model.params(), from the activations
+    of the forward that produced the samples."""
+    grads: list[np.ndarray] = [None] * (2 * len(model.weights))
+    delta = sample_grads  # gradient w.r.t. the layer pre-activation
+    for l in range(len(model.weights) - 1, -1, -1):
+        grads[2 * l] = delta.T @ acts[l]
+        grads[2 * l + 1] = delta.sum(axis=0)
+        if l:
+            upstream = delta @ model.weights[l]
+            hidden = acts[l]  # tanh output of layer l-1..; derivative 1 - a^2
+            delta = upstream * (1.0 - hidden * hidden)
+    return grads
+
+
 def _check_z(model: GeneratorModel, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != model.z_dim:
@@ -181,38 +204,47 @@ def generator_backprop(
             f"sample_grads must be {z.shape[0]} x {model.out_dim}, "
             f"got {sample_grads.shape}"
         )
-    acts = _forward(model, z)
-    grads: list[np.ndarray] = [None] * (2 * len(model.weights))
-    delta = sample_grads  # gradient w.r.t. the layer pre-activation
-    for l in range(len(model.weights) - 1, -1, -1):
-        grads[2 * l] = delta.T @ acts[l]
-        grads[2 * l + 1] = delta.sum(axis=0)
-        if l:
-            upstream = delta @ model.weights[l]
-            hidden = acts[l]  # tanh output of layer l-1..; derivative 1 - a^2
-            delta = upstream * (1.0 - hidden * hidden)
-    return grads
+    return _backprop(model, _forward(model, z), sample_grads)
 
 
 # ---------------------------------------------------------------------------
 # optimizer and schedule
 
 
+def _flat(arrays) -> np.ndarray:
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def _split(flat: np.ndarray, like) -> list[np.ndarray]:
+    out, pos = [], 0
+    for a in like:
+        out.append(flat[pos : pos + a.size].reshape(a.shape))
+        pos += a.size
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class OptState:
-    """Adaptive-moment accumulators; step counts completed updates."""
+    """Adaptive-moment accumulators over the flat parameter vector (laid out
+    as params()); step counts completed updates."""
 
     step: int
-    m: tuple[np.ndarray, ...]
-    v: tuple[np.ndarray, ...]
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
     def empty(cls, params) -> "OptState":
-        return cls(
-            step=0,
-            m=tuple(np.zeros_like(p) for p in params),
-            v=tuple(np.zeros_like(p) for p in params),
-        )
+        size = sum(p.size for p in params)
+        return cls(step=0, m=np.zeros(size), v=np.zeros(size))
+
+
+def _adamw(opt: OptState, p, g, lr: float, beta1, beta2, weight_decay, eps):
+    """One decoupled-weight-decay adaptive-moment update of a flat vector."""
+    t = opt.step + 1
+    m = beta1 * opt.m + (1.0 - beta1) * g
+    v = beta2 * opt.v + (1.0 - beta2) * g * g
+    update = (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    return OptState(step=t, m=m, v=v), p - lr * update - lr * weight_decay * p
 
 
 def optimizer_step(
@@ -226,22 +258,40 @@ def optimizer_step(
     eps: float = ADAM_EPS,
 ):
     """Decoupled-weight-decay adaptive-moment update with bias correction."""
-    if len(params) != len(grads) or len(params) != len(opt.m):
+    if len(params) != len(grads) or sum(p.size for p in params) != opt.m.size:
         raise DataError("params/grads/state length mismatch")
-    t = opt.step + 1
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
-    new_m, new_v, new_p = [], [], []
-    for p, g, m, v in zip(params, grads, opt.m, opt.v):
+    for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise DataError(f"grad shape {g.shape} does not match param {p.shape}")
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
-        new_p.append(p - lr * update - lr * weight_decay * p)
-        new_m.append(m)
-        new_v.append(v)
-    return OptState(step=t, m=tuple(new_m), v=tuple(new_v)), new_p
+    opt, flat = _adamw(
+        opt, _flat(params), _flat(grads), lr, beta1, beta2, weight_decay, eps
+    )
+    return opt, _split(flat, params)
+
+
+class _Fit:
+    """A generator under AdamW, shared by post_train and pretrain_regression.
+
+    The model's layers view one flat parameter vector (laid out as params());
+    each update makes a new vector, so the previous model stays intact.
+    """
+
+    def __init__(self, model: GeneratorModel, beta1: float, beta2: float, decay: float):
+        self.model = model
+        self.layout = model.params()
+        self.theta = _flat(self.layout)
+        self.opt = OptState.empty(self.layout)
+        self.hyper = (beta1, beta2, decay, ADAM_EPS)
+
+    def update(self, acts, sample_grads: np.ndarray, lr: float, step: int) -> None:
+        """Backprop through the forward's activations, then one AdamW step."""
+        grads = _flat(_backprop(self.model, acts, sample_grads))
+        self.opt, theta = _adamw(self.opt, self.theta, grads, lr, *self.hyper)
+        if not np.isfinite(theta).all():
+            raise NonFiniteLossError(step, "parameters", last_good_model=self.model)
+        self.theta = theta
+        layers = _split(theta, self.layout)
+        self.model = GeneratorModel.trusted(tuple(layers[0::2]), tuple(layers[1::2]))
 
 
 def lr_at(step: int, config: "TrainConfig") -> float:
@@ -299,10 +349,11 @@ class TargetSpec:
         for i in range(k):
             name = f"component {i} covariance"
             cov = check_symmetric(covs[i], name=name)
-            w = eig_sym(cov, name)[0]
-            if w.min() < -1e-8 * max(abs(np.trace(cov)), 1.0):
+            w, v = eig_symmetrized(cov, name)
+            trace = float(np.trace(cov))
+            if w.min() < -1e-8 * max(abs(trace), 1.0):
                 raise DataError(f"{name} is not PSD")
-            roots.append(sqrt_psd(cov, name))
+            roots.append(psd_root(w, v, trace, name))
             covs[i] = cov
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)
@@ -461,12 +512,6 @@ class MetricsLog:
             (r.phase, r.step, r.lr, r.loss) + tuple(r.fds) for r in self.records
         ]
 
-    def column(self, label: str, phase: str | None = None) -> list[float]:
-        i = self.labels.index(label)
-        return [
-            r.fds[i] for r in self.records if phase is None or r.phase == phase
-        ]
-
 
 # ---------------------------------------------------------------------------
 # training loop
@@ -495,22 +540,6 @@ def _fresh_estimators(config: TrainConfig):
     return states
 
 
-def _estimator_stats(config: TrainConfig, state, feats):
-    """(stats entering the distance, data needed to commit afterwards)."""
-    if config.estimator == "queue":
-        return queue_stats_with_batch(state, feats), None
-    mu_b, m_b = ema_batch_moments(feats)
-    mu_g, m_g, sigma_g = ema_blend(state, mu_b, m_b)
-    stats = GaussianStats(mu_g, sigma_g, ema_effective_weight(state.beta))
-    return stats, (mu_g, m_g)
-
-
-def _commit(config: TrainConfig, state, feats, blend):
-    if config.estimator == "queue":
-        return queue_commit(state, feats)
-    return ema_commit(state, blend[0], blend[1])
-
-
 def _warm_stats(config: TrainConfig, state) -> GaussianStats:
     """Statistics an estimator holds right after warm start."""
     if config.estimator == "queue":
@@ -521,21 +550,23 @@ def _warm_stats(config: TrainConfig, state) -> GaussianStats:
     )
 
 
-def _eval_model(config, model, refs, stream) -> tuple[list[float], np.ndarray]:
+def _eval_model(config, model, refs, stream) -> list[float]:
     """Large-sample per-representation distances for a model snapshot."""
-    z = stream.normal_matrix(config.effective_warm_start, config.z_dim)
-    x = generate(model, z)
-    fds = [
+    x = generate(model, stream.normal_matrix(config.effective_warm_start, config.z_dim))
+    return [
         fd(ref, stats_from_features(featurize(spec, x)))
         for spec, ref in zip(config.ensemble.specs, refs)
     ]
-    return fds, x
 
 
 def post_train(
     config: TrainConfig, initial_model: GeneratorModel | None = None
 ) -> tuple[GeneratorModel, MetricsLog]:
     """Run the full loop; returns the trained model and the metrics log.
+
+    Inputs are checked before the loop; each step checks only that its
+    samples, each representation's feature moments, the loss and the new
+    parameters are finite, else raises NonFiniteLossError.
 
     The log holds one warm_start record (large-sample evaluation of the
     starting model, the step-0 distance), one train record per step with
@@ -567,65 +598,57 @@ def post_train(
         TrainRecord("warm_start", 0, 0.0, warm_loss, tuple(warm_fds))
     )
 
-    params = model.params()
-    opt = OptState.empty(params)
+    fit = _Fit(model, config.beta1, config.beta2, config.weight_decay)
     noise = SplitMix64(derive_seed("train-noise", config.seed))
+    reps = list(zip(config.ensemble.specs, refs, log.labels))
     for step in range(config.total_steps):
         lr = lr_at(step, config)
         z = noise.normal_matrix(config.batch_size, config.z_dim)
-        x = generate(model, z)
-
-        # divergence can surface as non-finite samples/features before the
-        # bounded normalized loss itself goes NaN; both abort identically
-        try:
-            fds, grads, blends, feats = [], [], [], []
-            for spec, ref, state in zip(config.ensemble.specs, refs, states):
-                f = featurize(spec, x)
-                stats, blend = _estimator_stats(config, state, f)
-                value, grad = fd_with_grad(ref, stats)
-                feats.append(f)
-                blends.append(blend)
-                fds.append(value)
-                grads.append(grad)
-            loss, scales = ensemble_loss(config.ensemble, fds)
-        except NonFiniteDataError as exc:
-            raise NonFiniteLossError(step=step, last_good_model=model) from exc
+        acts = _forward(fit.model, z)
+        x = acts[-1]
+        # divergence surfaces first as non-finite samples or feature moments,
+        # before the bounded normalized loss itself goes NaN
+        if not np.isfinite(x).all():
+            raise NonFiniteLossError(step, "samples", last_good_model=fit.model)
+        fds, grads, stats, moments, feats = [], [], [], [], []
+        for (spec, ref, label), state in zip(reps, states):
+            f = feature_map(spec, x)
+            s, m_g = estimate(state, f)
+            # the covariance is finite only if the features and their
+            # squares are, so one scan covers the batch and its moments
+            if not np.isfinite(s.sigma).all():
+                raise NonFiniteLossError(step, "features", label, fit.model)
+            value, grad = fd_with_grad(ref, s)
+            feats.append(f)
+            stats.append(s)
+            moments.append(m_g)
+            fds.append(value)
+            grads.append(grad)
+        loss, scales = ensemble_loss(config.ensemble, fds)
         if not math.isfinite(loss):
-            raise NonFiniteLossError(step=step, last_good_model=model)
+            bad = (label for (_, _, label), v in zip(reps, fds) if not math.isfinite(v))
+            raise NonFiniteLossError(step, "loss", next(bad, None), fit.model)
 
         sample_grads = np.zeros_like(x)
-        for i, spec in enumerate(config.ensemble.specs):
-            feat_grads = estimator_backprop(
-                config.estimator,
+        for i, (spec, _, _) in enumerate(reps):
+            feat_grads = backprop_estimate(
                 states[i],
                 feats[i],
+                stats[i].mu,
                 scales[i] * grads[i].d_mu,
                 scales[i] * grads[i].d_sigma,
             )
-            sample_grads += featurize_backprop(spec, x, feat_grads)
-        param_grads = generator_backprop(model, z, sample_grads)
-        opt, params = optimizer_step(
-            opt,
-            params,
-            param_grads,
-            lr,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            weight_decay=config.weight_decay,
-        )
-        try:
-            model = model.with_params(params)
-        except NonFiniteDataError as exc:
-            raise NonFiniteLossError(step=step, last_good_model=model) from exc
+            sample_grads += feature_map_backprop(spec, x, feats[i], feat_grads)
+        fit.update(acts, sample_grads, lr, step)
         states = [
-            _commit(config, state, f, blend)
-            for state, f, blend in zip(states, feats, blends)
+            commit_estimate(*args) for args in zip(states, feats, stats, moments)
         ]
         log.records.append(TrainRecord("train", step, lr, loss, tuple(fds)))
+    model = fit.model
 
     if config.total_steps > 0:
         final_stream = SplitMix64(derive_seed("final-eval-noise", config.seed))
-        final_fds, _ = _eval_model(config, model, refs, final_stream)
+        final_fds = _eval_model(config, model, refs, final_stream)
         final_loss, _ = ensemble_loss(config.ensemble, final_fds)
         log.records.append(
             TrainRecord(
@@ -695,19 +718,14 @@ def pretrain_regression(
     zs = zs[_transport_order(zs[:, :lead])]
     ys = ys[_transport_order(ys)]
 
-    params = model.params()
-    opt = OptState.empty(params)
-    for _ in range(steps):
+    fit = _Fit(model, 0.9, 0.999, 0.0)
+    for step in range(steps):
         idx = np.minimum(
             (stream.uniforms(batch_size) * pair_count).astype(np.int64),
             pair_count - 1,
         )
         z, y = zs[idx], ys[idx]
-        out = generate(model, z)
-        sample_grads = 2.0 * (out - y) / batch_size
-        grads = generator_backprop(model, z, sample_grads)
-        opt, params = optimizer_step(
-            opt, params, grads, lr, beta1=0.9, beta2=0.999, weight_decay=0.0
-        )
-        model = model.with_params(params)
-    return model
+        acts = _forward(fit.model, z)
+        sample_grads = 2.0 * (acts[-1] - y) / batch_size
+        fit.update(acts, sample_grads, lr, step)
+    return fit.model

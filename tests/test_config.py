@@ -1,5 +1,7 @@
 """Config file parsing: sections, typed keys, indexed reps/components."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -230,3 +232,20 @@ class TestBuild:
         path.write_text(FULL_TEXT, encoding="utf-8")
         loaded = load_config(str(path))
         assert loaded.train.batch_size == 32
+
+
+def test_mixture_config_eigendecomposes_each_component_once(monkeypatch):
+    # the PSD check and the sampling root share one eigendecomposition
+    eigh = np.linalg.eigh
+    shapes = []
+
+    def counting_eigh(a):
+        shapes.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    path = Path(__file__).resolve().parents[1] / "configs" / "mixture.cfg"
+    loaded = load_config(str(path))
+    components = len(loaded.train.target.weights) + len(loaded.source.weights)
+    assert components == 3
+    assert shapes == [(2, 2)] * components

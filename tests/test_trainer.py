@@ -293,6 +293,101 @@ def frozen_chain(config, model, refs, states, z):
     return np.array(fds), generator_backprop(model, z, sample_grads)
 
 
+def reference_post_train(config):
+    """post_train assembled only from the public, input-checking functions:
+    every statistic is recomputed where the chain needs it, and every
+    parameter array gets its own optimizer update."""
+    from fdopt.estimators import (
+        ema_batch_moments,
+        ema_blend,
+        ema_commit,
+        ema_effective_weight,
+        estimator_backprop,
+        queue_commit,
+        queue_contents,
+        queue_stats_with_batch,
+    )
+    from fdopt.frechet import GaussianStats, fd_with_grad
+    from fdopt.representations import featurize_backprop
+    from fdopt.rng import derive_seed
+    from fdopt.trainer import target_reference_rows
+
+    specs, queue = config.ensemble.specs, config.estimator == "queue"
+    count = config.effective_warm_start
+    rows = target_reference_rows(config.target, count)
+    refs = [make_reference(stats_from_features(featurize(s, rows))) for s in specs]
+    model = GeneratorModel.init(config.layer_dims, config.seed)
+
+    def record(phase, step, lr, fds):
+        loss, _ = ensemble_loss(config.ensemble, fds)
+        return (phase, step, lr, loss) + tuple(fds)
+
+    def evaluate(noise_name):
+        stream = SplitMix64(derive_seed(noise_name, config.seed))
+        return generate(model, stream.normal_matrix(count, config.z_dim))
+
+    xw = evaluate("warm-start-noise")
+    states, warm_fds = [], []
+    for spec, ref in zip(specs, refs):
+        if queue:
+            state = warm_start(QueueState.empty(config.queue_capacity, spec.out_dim),
+                               featurize(spec, xw))
+            stats = stats_from_features(queue_contents(state))
+        else:
+            state = warm_start(EmaState.empty(config.ema_beta, spec.out_dim),
+                               featurize(spec, xw))
+            sigma = state.m_ema - np.outer(state.mu_ema, state.mu_ema)
+            stats = GaussianStats(state.mu_ema, 0.5 * (sigma + sigma.T),
+                                  ema_effective_weight(state.beta))
+        states.append(state)
+        warm_fds.append(fd(ref, stats))
+    out = [record("warm_start", 0, 0.0, warm_fds)]
+
+    params = model.params()
+    opt = OptState.empty(params)
+    noise = SplitMix64(derive_seed("train-noise", config.seed))
+    for step in range(config.total_steps):
+        lr = lr_at(step, config)
+        z = noise.normal_matrix(config.batch_size, config.z_dim)
+        x = generate(model, z)
+        fds, grads, blends = [], [], []
+        for spec, ref, state in zip(specs, refs, states):
+            f = featurize(spec, x)
+            if queue:
+                stats, blend = queue_stats_with_batch(state, f), None
+            else:
+                mu_g, m_g, sigma_g = ema_blend(state, *ema_batch_moments(f))
+                stats = GaussianStats(mu_g, sigma_g, ema_effective_weight(state.beta))
+                blend = (mu_g, m_g)
+            value, grad = fd_with_grad(ref, stats)
+            fds.append(value)
+            grads.append(grad)
+            blends.append(blend)
+        _, scales = ensemble_loss(config.ensemble, fds)
+        sample_grads = np.zeros_like(x)
+        for spec, state, grad, scale in zip(specs, states, grads, scales):
+            f = featurize(spec, x)
+            feat_grads = estimator_backprop(
+                config.estimator, state, f, scale * grad.d_mu, scale * grad.d_sigma
+            )
+            sample_grads += featurize_backprop(spec, x, feat_grads)
+        opt, params = optimizer_step(
+            opt, params, generator_backprop(model, z, sample_grads), lr,
+            beta1=config.beta1, beta2=config.beta2, weight_decay=config.weight_decay,
+        )
+        model = model.with_params(params)
+        states = [
+            queue_commit(state, featurize(spec, x)) if queue else ema_commit(state, *blend)
+            for spec, state, blend in zip(specs, states, blends)
+        ]
+        out.append(record("train", step, lr, fds))
+
+    x = evaluate("final-eval-noise")
+    final_fds = [fd(ref, stats_from_features(featurize(s, x))) for s, ref in zip(specs, refs)]
+    out.append(record("final", config.total_steps, lr_at(config.total_steps, config), final_fds))
+    return model, out
+
+
 class TestPostTrain:
     def small_config(self, **kw):
         ens = RepresentationEnsemble(
@@ -409,10 +504,38 @@ class TestPostTrain:
         with pytest.raises(NonFiniteLossError) as info:
             post_train(cfg)
         err = info.value
-        assert err.step >= 0
+        # the identity features' second moment overflows first
+        assert (err.step, err.quantity, err.label) == (2, "features", "rep0_identity")
+        assert str(err) == "non-finite features at step 2 in rep0_identity"
         assert err.last_good_model is not None
         for p in err.last_good_model.params():
             assert np.isfinite(p).all()
+
+    @pytest.mark.parametrize("estimator", ["ema", "queue"])
+    def test_matches_reference_loop_of_public_functions(self, estimator, monkeypatch):
+        import fdopt.trainer as trainer_module
+
+        cfg = self.small_config(estimator=estimator, queue_capacity=32, total_steps=6)
+        want_model, want_rows = reference_post_train(cfg)
+
+        counts = {"estimate": 0, "_forward": 0}
+        for name in counts:
+            original = getattr(trainer_module, name, None)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(trainer_module, name, counted, raising=False)
+        model, log = post_train(cfg)
+
+        assert log.rows() == want_rows
+        for got, want in zip(model.params(), want_model.params(), strict=True):
+            assert got.tobytes() == want.tobytes()
+        # one estimator pass per representation per step; one generator
+        # forward per step plus the warm-start and final evaluations
+        steps, reps = cfg.total_steps, len(cfg.ensemble)
+        assert counts == {"estimate": steps * reps, "_forward": steps + 2}
 
     def test_log_has_lr_and_loss_columns(self):
         cfg = self.small_config(total_steps=4, warmup_steps=2)
@@ -482,6 +605,16 @@ class TestPretrainRegression:
         )
         assert trained.weights[0][0, 0] == pytest.approx(coef[0], abs=0.05)
         assert trained.biases[0][0] == pytest.approx(coef[1], abs=0.05)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_parameters(self):
+        model = GeneratorModel.init([2, 4, 1], seed=1)
+        source = TargetSpec.mixture(means=[[0.0]], covs=[np.eye(1)], weights=[1.0])
+        with pytest.raises(NonFiniteLossError, match="parameters at step 1$") as info:
+            pretrain_regression(model, source, steps=20, lr=1e200)
+        assert (info.value.quantity, info.value.label) == ("parameters", None)
+        for p in info.value.last_good_model.params():
+            assert np.isfinite(p).all()
 
     def test_source_generator_dim_mismatch(self):
         model = GeneratorModel.init([2, 4, 2], seed=1)
