@@ -4,6 +4,8 @@ Exit codes: 0 success; 1 usage error (bad flags, unknown subcommand);
 2 data or format error (missing files, bad magic, truncation, config
 typos, shape mismatches, non-finite inputs); 3 numerical failure
 (non-finite loss, eigensolver non-convergence, report write failure).
+A `train` run that goes non-finite writes no checkpoint at --out; it
+writes the last model with all parameters finite to <out>.last_good.
 
 Every run is single-threaded and deterministic given identical inputs:
 rerunning a command with the same seeds produces byte-identical outputs.
@@ -21,7 +23,13 @@ import sys
 import numpy as np
 
 from .config import load_config
-from .errors import DataError, FdoptError, NumericalError, UsageError
+from .errors import (
+    DataError,
+    FdoptError,
+    NonFiniteLossError,
+    NumericalError,
+    UsageError,
+)
 from .formats import (
     FEATURES_MAGIC,
     STATS_MAGIC,
@@ -36,9 +44,8 @@ from .formats import (
     write_report_csv,
     write_stats,
 )
-from .frechet import fd, make_reference, stats_from_features
+from .frechet import fd, feature_stats, make_reference, stats_from_features
 from .metrics import build_report
-from .representations import featurize
 from .rng import SplitMix64, derive_seed
 from .trainer import GeneratorModel, generate, post_train, pretrain_regression
 
@@ -86,15 +93,16 @@ def _cmd_fd(args) -> int:
         gen_stats = read_stats(args.gen)
     elif magic == FEATURES_MAGIC:
         rows = read_features(args.gen)
-        if args.rep is not None:
+        if args.rep is None:
+            gen_stats = stats_from_features(rows)
+        else:
             ensemble = load_config(args.rep).ensemble
             if len(ensemble) != 1:
                 raise DataError(
                     f"--rep config must define exactly one representation, "
                     f"found {len(ensemble)}"
                 )
-            rows = featurize(ensemble.specs[0], rows)
-        gen_stats = stats_from_features(rows)
+            gen_stats = feature_stats(ensemble.specs[0], rows)
     else:
         raise DataError(f"{args.gen}: neither a stats nor a features file")
     print(f"{fd(ref, gen_stats):.6f}")
@@ -106,9 +114,7 @@ def _cmd_fdr(args) -> int:
     ensemble = loaded.ensemble
     if len(args.train) == 1 and _sniff_magic(args.train[0]) == FEATURES_MAGIC:
         rows = read_features(args.train[0])
-        train_stats = [
-            stats_from_features(featurize(spec, rows)) for spec in ensemble.specs
-        ]
+        train_stats = [feature_stats(spec, rows) for spec in ensemble.specs]
     else:
         if len(args.train) != len(ensemble):
             raise DataError(
@@ -139,7 +145,14 @@ def _cmd_train(args) -> int:
                 f"checkpoint layers {initial.layer_dims} do not match config "
                 f"layers {loaded.train.layer_dims}"
             )
-    model, log = post_train(loaded.train, initial_model=initial)
+    try:
+        model, log = post_train(loaded.train, initial_model=initial)
+    except NonFiniteLossError as err:
+        # keep the last model whose parameters were all finite, for recovery
+        if err.last_good_model is not None:
+            good = err.last_good_model
+            write_checkpoint(f"{args.out}.last_good", good.weights, good.biases)
+        raise
     write_checkpoint(args.out, model.weights, model.biases)
     if args.log is not None:
         write_metrics_log(args.log, log.labels, log.rows())

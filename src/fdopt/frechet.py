@@ -8,6 +8,19 @@ The distance between populations summarized by (mu_r, sigma_r) and
 with the trace term evaluated through the symmetric congruence
 R sigma_g R, R = sigma_r^{1/2}, which is precomputed once per reference.
 
+Moments of a large population are accumulated in blocks of BLOCK_ROWS rows,
+so memory stays O(BLOCK_ROWS x d) whatever the row count. Each block gets
+its own two-pass mean and centred scatter; blocks are then merged pairwise
+(Chan, Golub & LeVeque, "Algorithms for computing the sample variance",
+1983): for running (n_a, mu_a, S_a) and block (n_b, mu_b, S_b), with
+delta = mu_b - mu_a and n = n_a + n_b,
+
+    mu = mu_a + delta n_b / n,    S = S_a + S_b + delta delta^T n_a n_b / n,
+
+and sigma = S / n at the end. The first block is taken as-is, so a
+population of at most BLOCK_ROWS rows gets exactly the dense two-pass
+result.
+
 Covariances use the population divisor (1/n) everywhere. The EMA estimator
 recovers its covariance as M - mu mu^T, which is a population form; mixing
 divisors would make the queue and EMA estimators disagree in the large-N
@@ -22,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NonFiniteDataError, NumericalError
+from .representations import RepresentationSpec, feature_map
 from .symlin import check_symmetric, congruence_eig, sqrt_psd
 
 log = logging.getLogger("fdopt.frechet")
@@ -74,10 +88,11 @@ class GaussianStats:
 
 @dataclass(frozen=True, eq=False)
 class ReferenceStats:
-    """Reference-side stats with the covariance square root cached."""
+    """Reference-side stats with the covariance square root and trace cached."""
 
     stats: GaussianStats
     sigma_root: np.ndarray
+    trace: float
 
     @property
     def dim(self) -> int:
@@ -86,32 +101,84 @@ class ReferenceStats:
 
 def make_reference(stats: GaussianStats) -> ReferenceStats:
     root = sqrt_psd(stats.sigma, "reference sigma")
-    return ReferenceStats(stats=stats, sigma_root=root)
+    return ReferenceStats(stats, root, float(np.trace(stats.sigma)))
+
+
+# Rows per block of a population's moments, and of the generator's sample
+# forward. It equals the trainer's default warm-start count, so the
+# trainer's evaluations are one block each.
+BLOCK_ROWS = 4096
+
+
+def check_rows(rows: np.ndarray, what: str, dim: int | None = None) -> np.ndarray:
+    """rows as a nonempty float64 n x d matrix (d = dim when given) with every
+    entry finite; the first non-finite row is named by its index."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
+        raise DataError(f"{what} must be a nonempty n x d matrix, got shape {rows.shape}")
+    if dim is not None and rows.shape[1] != dim:
+        raise DataError(f"{what} must be n x {dim}, got shape {rows.shape}")
+    finite_rows = np.isfinite(rows).all(axis=1)
+    if not finite_rows.all():
+        bad = int(np.nonzero(~finite_rows)[0][0])
+        raise NonFiniteDataError(f"{what} row {bad} contains non-finite entries")
+    return rows
 
 
 def stats_from_features(features: np.ndarray) -> GaussianStats:
     """Column mean and population covariance (divisor n) of an n x d matrix."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise DataError(f"features must be 2-D, got shape {features.shape}")
-    n, d = features.shape
-    if n < 1 or d < 1:
-        raise DataError(f"features must be nonempty, got shape {features.shape}")
-    finite_rows = np.isfinite(features).all(axis=1)
-    if not finite_rows.all():
-        bad = int(np.nonzero(~finite_rows)[0][0])
-        raise NonFiniteDataError(f"features row {bad} contains non-finite entries")
-    stats = population_stats(features)
+    stats = population_stats(check_rows(features, "features"))
     # validated again: finite rows can still overflow the covariance
+    return GaussianStats(stats.mu, stats.sigma, stats.weight)
+
+
+def feature_stats(spec: RepresentationSpec, samples: np.ndarray) -> GaussianStats:
+    """stats_from_features(featurize(spec, samples)) without building the
+    n x out_dim feature matrix: each block of samples is featurized and
+    folded into the moments in turn.
+
+    samples must be finite (the caller checks them where they enter); only
+    their shape is checked here.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 2 or samples.shape[0] < 1 or samples.shape[1] != spec.in_dim:
+        raise DataError(
+            f"samples must be n x {spec.in_dim} for {spec.kind}, got {samples.shape}"
+        )
+    stats = _moments(feature_map(spec, block) for block in _row_blocks(samples))
+    # a feature map can overflow on finite samples
     return GaussianStats(stats.mu, stats.sigma, stats.weight)
 
 
 def population_stats(features: np.ndarray) -> GaussianStats:
     """stats_from_features for a finite float64 n x d matrix, unchecked."""
-    n = features.shape[0]
-    mu = features.mean(axis=0)
-    centered = features - mu
-    sigma = centered.T @ centered / n
+    return _moments(_row_blocks(features))
+
+
+def _row_blocks(rows: np.ndarray):
+    for start in range(0, rows.shape[0], BLOCK_ROWS):
+        yield rows[start : start + BLOCK_ROWS]
+
+
+def _moments(blocks) -> GaussianStats:
+    """Mean and population covariance of the rows of nonempty finite blocks,
+    merged as in the module docstring."""
+    n = 0
+    for block in blocks:
+        block_n = block.shape[0]
+        block_mu = block.mean(axis=0)
+        centered = block - block_mu
+        block_scatter = centered.T @ centered
+        if n == 0:
+            n, mu, scatter = block_n, block_mu, block_scatter
+            continue
+        total = n + block_n
+        delta = block_mu - mu
+        mu = mu + delta * (block_n / total)
+        scatter += block_scatter
+        scatter += np.outer(delta, delta * (n * block_n / total))
+        n = total
+    sigma = scatter / n
     return GaussianStats.trusted(mu, 0.5 * (sigma + sigma.T), float(n))
 
 
@@ -126,7 +193,7 @@ def _value(ref: ReferenceStats, gen: GaussianStats):
         raise DataError(f"dimension mismatch: ref dim {ref.dim} vs gen dim {gen.dim}")
     w, v = congruence_eig(ref.sigma_root, gen.sigma)
     mean_term = float(np.sum((ref.stats.mu - gen.mu) ** 2))
-    trace_ref = float(np.trace(ref.stats.sigma))
+    trace_ref = ref.trace
     trace_gen = float(np.trace(gen.sigma))
     cross = float(np.sqrt(np.maximum(w, 0.0)).sum())
     raw = mean_term + trace_ref + trace_gen - 2.0 * cross
@@ -161,7 +228,7 @@ class FdGradient:
 
 
 def default_grad_floor(ref: ReferenceStats) -> float:
-    return 1e-10 * max(float(np.trace(ref.stats.sigma)), 0.0) / ref.dim
+    return 1e-10 * max(ref.trace, 0.0) / ref.dim
 
 
 def fd_grad_stats(
@@ -185,7 +252,9 @@ def fd_with_grad(
     floored = np.maximum(w, max(eps_floor, 1e-300))
     inv_root = (v / np.sqrt(floored)) @ v.T
     root = ref.sigma_root
-    d_sigma = np.eye(ref.dim) - root @ inv_root @ root
+    # I - R C^{-1/2} R, with the identity added on the diagonal in place
+    d_sigma = -(root @ inv_root @ root)
+    d_sigma.flat[:: ref.dim + 1] += 1.0
     d_sigma = 0.5 * (d_sigma + d_sigma.T)
     d_mu = 2.0 * (gen.mu - ref.stats.mu)
     return value, FdGradient(d_mu=d_mu, d_sigma=d_sigma, degenerate=degenerate)

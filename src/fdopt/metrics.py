@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .frechet import ReferenceStats, fd, make_reference, stats_from_features
-from .representations import RepresentationEnsemble, featurize
+from .frechet import ReferenceStats, check_rows, fd, feature_stats, make_reference
+from .representations import RepresentationEnsemble
 
 __all__ = [
     "FdrRow",
@@ -90,14 +90,16 @@ def build_report(
     train_stats holds one GaussianStats (or ReferenceStats) per
     representation, in ensemble order and in that representation's feature
     space. val_samples and gen_samples are raw sample matrices featurized
-    here, so all three populations go through identical maps.
+    here, so all three populations go through identical maps. Each split is
+    checked once, here; its moments are then taken block by block, so no
+    n x out_dim feature matrix is built.
     """
     if len(train_stats) != len(ensemble):
         raise DataError(
             f"{len(train_stats)} train stats for {len(ensemble)} representations"
         )
-    val_samples = np.asarray(val_samples, dtype=np.float64)
-    gen_samples = np.asarray(gen_samples, dtype=np.float64)
+    val_samples = check_rows(val_samples, "val samples", ensemble.in_dim)
+    gen_samples = check_rows(gen_samples, "gen samples", ensemble.in_dim)
     rows = []
     for name, spec, stats in zip(rep_labels(ensemble), ensemble.specs, train_stats):
         ref = stats if isinstance(stats, ReferenceStats) else make_reference(stats)
@@ -106,12 +108,12 @@ def build_report(
                 f"{name}: train stats have dim {ref.dim}, representation "
                 f"produces {spec.out_dim}"
             )
-        val_stats = stats_from_features(featurize(spec, val_samples))
+        val_stats = feature_stats(spec, val_samples)
         fd_val = fd(ref, val_stats)
-        fd_gen = fd(ref, stats_from_features(featurize(spec, gen_samples)))
+        fd_gen = fd(ref, feature_stats(spec, gen_samples))
         # FD of a split against itself is rounding noise on the scale of the
         # traces, not exactly 0
-        tol = 1e-9 * float(np.trace(ref.stats.sigma) + np.trace(val_stats.sigma))
+        tol = 1e-9 * (ref.trace + float(np.trace(val_stats.sigma)))
         if fd_val <= tol:
             raise DataError(
                 f"{name}: validation split is indistinguishable from the "

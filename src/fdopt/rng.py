@@ -62,14 +62,18 @@ class SplitMix64:
         self._state = int(seed) & _MASK64
 
     def _raw(self, n: int) -> np.ndarray:
-        # states are seed + GOLDEN * k, so a block can be produced in one shot
-        offsets = np.arange(1, n + 1, dtype=np.uint64)
-        states = np.uint64(self._state) + np.uint64(_GOLDEN) * offsets
+        # states are seed + GOLDEN * k, so a block can be produced in one shot;
+        # the finalizer then runs in place on that one array
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._state)
         self._state = (self._state + n * _GOLDEN) & _MASK64
-        z = states
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1)."""
@@ -77,16 +81,20 @@ class SplitMix64:
             raise ValueError("n must be nonnegative")
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        bits = self._raw(n) >> np.uint64(11)
-        return bits.astype(np.float64) * (2.0 ** -53)
+        bits = self._raw(n)
+        bits >>= np.uint64(11)
+        out = bits.astype(np.float64)
+        out *= 2.0 ** -53
+        return out
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller."""
         if n == 0:
             return np.empty(0, dtype=np.float64)
         pairs = (n + 1) // 2
-        u1 = self.uniforms(pairs)
-        u2 = self.uniforms(pairs)
+        # one draw: the first half are the radius uniforms, the second the angles
+        u = self.uniforms(2 * pairs)
+        u1, u2 = u[:pairs], u[pairs:]
         # 1 - u1 lies in (0, 1], keeping the log finite
         radius = np.sqrt(-2.0 * np.log1p(-u1))
         angle = (2.0 * np.pi) * u2

@@ -103,7 +103,7 @@ def congruence_eig(ref_root: np.ndarray, gen_cov: np.ndarray):
     inner = 0.5 * (inner + inner.T)
     w, v = eig_symmetrized(inner, "congruence R C R")
     worst = -float(w.min())
-    if worst > 1e-8 * abs(float(np.trace(inner))):
+    if worst > 0.0 and worst > 1e-8 * abs(float(np.trace(inner))):
         log.warning("congruence_eig: clamping eigenvalue of magnitude %.6e", worst)
     return w, v
 

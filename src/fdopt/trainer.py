@@ -37,10 +37,13 @@ from .estimators import (
 )
 from .formats import read_features
 from .frechet import (
+    BLOCK_ROWS,
     GaussianStats,
     ReferenceStats,
+    check_rows,
     fd,
     fd_with_grad,
+    feature_stats,
     make_reference,
     stats_from_features,
 )
@@ -190,7 +193,25 @@ def _check_z(model: GeneratorModel, z: np.ndarray) -> np.ndarray:
 
 
 def generate(model: GeneratorModel, z: np.ndarray) -> np.ndarray:
-    return _forward(model, _check_z(model, z))[-1]
+    """Generator samples for the noise rows z: _forward's output, computed
+    BLOCK_ROWS rows at a time through per-layer buffers allocated once, so
+    only the n x out_dim output grows with n. Training keeps _forward,
+    whose activations backprop needs."""
+    z = _check_z(model, z)
+    n, last = z.shape[0], len(model.weights) - 1
+    out = np.empty((n, model.out_dim))
+    hidden = [np.empty((min(n, BLOCK_ROWS), w.shape[0])) for w in model.weights[:-1]]
+    for start in range(0, n, BLOCK_ROWS):
+        rows = min(BLOCK_ROWS, n - start)
+        act = z[start : start + rows]
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            pre = out[start : start + rows] if i == last else hidden[i][:rows]
+            np.matmul(act, w.T, out=pre)
+            pre += b
+            if i != last:
+                np.tanh(pre, out=pre)
+            act = pre
+    return out
 
 
 def generator_backprop(
@@ -524,10 +545,7 @@ def _references(config: TrainConfig) -> list[ReferenceStats]:
             f"target rows have dim {rows.shape[1]}, generator produces "
             f"{config.out_dim}"
         )
-    return [
-        make_reference(stats_from_features(featurize(spec, rows)))
-        for spec in config.ensemble.specs
-    ]
+    return [make_reference(feature_stats(spec, rows)) for spec in config.ensemble.specs]
 
 
 def _fresh_estimators(config: TrainConfig):
@@ -553,9 +571,9 @@ def _warm_stats(config: TrainConfig, state) -> GaussianStats:
 def _eval_model(config, model, refs, stream) -> list[float]:
     """Large-sample per-representation distances for a model snapshot."""
     x = generate(model, stream.normal_matrix(config.effective_warm_start, config.z_dim))
+    x = check_rows(x, "generated samples")
     return [
-        fd(ref, stats_from_features(featurize(spec, x)))
-        for spec, ref in zip(config.ensemble.specs, refs)
+        fd(ref, feature_stats(spec, x)) for spec, ref in zip(config.ensemble.specs, refs)
     ]
 
 

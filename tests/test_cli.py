@@ -13,6 +13,7 @@ from fdopt.cli import cli_dispatch
 from fdopt.config import load_config
 from fdopt.formats import (
     parse_report_csv,
+    read_checkpoint,
     read_features,
     read_metrics_log,
     read_stats,
@@ -410,6 +411,11 @@ class TestPipeline:
         )
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+        # the last finite model is kept for recovery; no checkpoint at --out
+        assert not (workspace / "m.ckpt").exists()
+        weights, biases = read_checkpoint(path(workspace, "m.ckpt.last_good"))
+        for p in (*weights, *biases):
+            assert np.isfinite(p).all()
 
 
 QUEUE_64D_CONFIG = (

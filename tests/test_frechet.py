@@ -6,13 +6,16 @@ from hypothesis import strategies as st
 from conftest import random_psd
 from fdopt.errors import DataError, NonFiniteDataError
 from fdopt.frechet import (
+    BLOCK_ROWS,
     GaussianStats,
     fd,
     fd_grad_stats,
     fd_with_grad,
+    feature_stats,
     make_reference,
     stats_from_features,
 )
+from fdopt.representations import RepresentationSpec, featurize
 from fdopt.rng import SplitMix64
 from oracles import (
     central_difference,
@@ -176,6 +179,50 @@ class TestStatsFromFeatures:
         rows[2, 1] = np.inf
         with pytest.raises(NonFiniteDataError, match="row 2"):
             stats_from_features(rows)
+
+
+# two full blocks and a ragged tail, so the merge runs twice
+BLOCKED_ROWS = 2 * BLOCK_ROWS + 17
+
+
+class TestBlockedMoments:
+    def test_stats_from_features_matches_numpy_oracle(self):
+        # an offset mean makes the merge's mean-shift term matter
+        rows = 3.0 + SplitMix64(91).normal_matrix(BLOCKED_ROWS, 4)
+        stats = stats_from_features(rows)
+        mu, cov = population_stats_oracle(rows)
+        assert stats.weight == BLOCKED_ROWS
+        assert relative_error(stats.mu, mu) < 1e-12
+        assert relative_error(stats.sigma, cov) < 1e-12
+
+    def test_feature_stats_matches_numpy_oracle_in_tanh_space(self):
+        spec = RepresentationSpec("tanh_rf", 1, 2, 64)
+        samples = SplitMix64(92).normal_matrix(BLOCKED_ROWS, 2)
+        stats = feature_stats(spec, samples)
+        mu, cov = population_stats_oracle(featurize(spec, samples))
+        assert stats.weight == BLOCKED_ROWS
+        assert relative_error(stats.mu, mu) < 1e-12
+        assert relative_error(stats.sigma, cov) < 1e-12
+
+    def test_one_block_is_the_dense_two_pass_result(self):
+        rows = SplitMix64(93).normal_matrix(BLOCK_ROWS, 3)
+        mu = rows.mean(axis=0)
+        centered = rows - mu
+        sigma = centered.T @ centered / BLOCK_ROWS
+        stats = stats_from_features(rows)
+        assert stats.mu.tobytes() == mu.tobytes()
+        assert stats.sigma.tobytes() == (0.5 * (sigma + sigma.T)).tobytes()
+
+    def test_nonfinite_row_named_past_first_block(self):
+        rows = np.ones((BLOCKED_ROWS, 2))
+        rows[4100, 0] = np.nan
+        with pytest.raises(NonFiniteDataError, match="row 4100"):
+            stats_from_features(rows)
+
+    def test_feature_stats_checks_sample_width(self):
+        spec = RepresentationSpec("tanh_rf", 1, 2, 8)
+        with pytest.raises(DataError, match="n x 2"):
+            feature_stats(spec, np.ones((5, 3)))
 
 
 class TestGaussianStats:

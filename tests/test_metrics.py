@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fdopt.errors import DataError
+from fdopt.errors import DataError, NonFiniteDataError
 from fdopt.frechet import fd, make_reference, stats_from_features
 from fdopt.metrics import FdrReport, FdrRow, build_report, fd_ratio, fdr_k, rep_labels
 from fdopt.representations import RepresentationEnsemble, RepresentationSpec, featurize
@@ -141,6 +141,13 @@ class TestBuildReport:
         stats = [stats_from_features(featurize(spec, train))]
         with pytest.raises(DataError, match="rep0_tanh_rf"):
             build_report(ensemble, stats, train, gen)
+
+    def test_nonfinite_sample_row_named(self):
+        ensemble = four_kind_ensemble()
+        train, val, gen = split_populations(seed=8, n_train=512, n_val=8209)
+        val[4100, 1] = np.nan
+        with pytest.raises(NonFiniteDataError, match="val samples row 4100"):
+            build_report(ensemble, train_stats_for(ensemble, train), val, gen)
 
     def test_labels(self):
         assert rep_labels(four_kind_ensemble()) == (

@@ -3,7 +3,7 @@ import pytest
 
 from fdopt.errors import ConfigError, DataError, NonFiniteLossError
 from fdopt.estimators import EmaState, QueueState, warm_start
-from fdopt.frechet import fd, make_reference, stats_from_features
+from fdopt.frechet import BLOCK_ROWS, fd, make_reference, stats_from_features
 from fdopt.representations import (
     RepresentationEnsemble,
     RepresentationSpec,
@@ -66,6 +66,16 @@ class TestGeneratorModel:
         z = SplitMix64(3).normal_matrix(6, 3)
         want = mlp_forward_oracle(model.weights, model.biases, z)
         assert relative_error(generate(model, z), want) < 1e-12
+
+    def test_blocked_generate_equals_one_forward(self):
+        from fdopt.trainer import _forward
+
+        model = GeneratorModel.init([8, 64, 64, 2], seed=3)
+        z = SplitMix64(4).normal_matrix(32 * BLOCK_ROWS, 8)
+        assert generate(model, z).tobytes() == _forward(model, z)[-1].tobytes()
+        # a 1-row tail block may take BLAS's matrix-vector path
+        ragged = z[: BLOCK_ROWS + 1]
+        assert relative_error(generate(model, ragged), _forward(model, ragged)[-1]) < 1e-12
 
     def test_init_deterministic(self):
         a = GeneratorModel.init([4, 8, 2], seed=7)
@@ -518,7 +528,7 @@ class TestPostTrain:
         cfg = self.small_config(estimator=estimator, queue_capacity=32, total_steps=6)
         want_model, want_rows = reference_post_train(cfg)
 
-        counts = {"estimate": 0, "_forward": 0}
+        counts = {"estimate": 0, "_forward": 0, "generate": 0}
         for name in counts:
             original = getattr(trainer_module, name, None)
 
@@ -533,9 +543,10 @@ class TestPostTrain:
         for got, want in zip(model.params(), want_model.params(), strict=True):
             assert got.tobytes() == want.tobytes()
         # one estimator pass per representation per step; one generator
-        # forward per step plus the warm-start and final evaluations
+        # forward per step, and the warm-start and final evaluations each
+        # sample through the blocked generate
         steps, reps = cfg.total_steps, len(cfg.ensemble)
-        assert counts == {"estimate": steps * reps, "_forward": steps + 2}
+        assert counts == {"estimate": steps * reps, "_forward": steps, "generate": 2}
 
     def test_log_has_lr_and_loss_columns(self):
         cfg = self.small_config(total_steps=4, warmup_steps=2)
