@@ -47,7 +47,12 @@ from .formats import (
 from .frechet import fd, feature_stats, make_reference, stats_from_features
 from .metrics import build_report
 from .rng import SplitMix64, derive_seed
-from .trainer import GeneratorModel, generate, post_train, pretrain_regression
+from .trainer import (
+    GeneratorModel,
+    generate_from_stream,
+    post_train,
+    pretrain_regression,
+)
 
 _LOG = logging.getLogger("fdopt.cli")
 
@@ -188,8 +193,7 @@ def _cmd_sample(args) -> int:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     model = _load_model(args.ckpt)
     stream = SplitMix64(derive_seed("sample-noise", args.seed))
-    z = stream.normal_matrix(args.n, model.z_dim)
-    write_features(args.out, generate(model, z))
+    write_features(args.out, generate_from_stream(model, stream, args.n))
     return 0
 
 

@@ -10,6 +10,27 @@ backprop, matching the update order
 States are immutable value types; commit operations return new states, so
 blend/read never observes a half-applied update.
 
+The queue keeps running sums of its stored rows about a fixed shift c, the
+mean of the stored rows when the sums were last rebuilt:
+
+    S1 = sum_i (x_i - c),    S2 = sum_i (x_i - c)(x_i - c)^T.
+
+With the live batch rows b_j and M = fill + B rows in all, the statistics
+are
+
+    m = (S1 + sum_j (b_j - c)) / M,    mu = c + m,
+    sigma = (S2 + sum_j (b_j - c)(b_j - c)^T) / M - m m^T,
+
+so a step costs O(B d^2) whatever the capacity. A commit adds the pushed
+rows to the sums and subtracts the evicted ones (the add/remove updates of
+Chan, Golub & LeVeque, 1983). Rounding error in those updates accumulates,
+so once a capacity's worth of rows has been pushed since the last rebuild
+(one full turnover), the sums are rebuilt exactly from the stored rows, at
+O(N d^2) once per turnover. The rebuild depends only on the number of rows
+pushed, so runs stay deterministic. Shifting by c keeps m m^T small next to
+the scatter, so the subtraction does not cancel when the features sit far
+from the origin.
+
 The public functions check their inputs and run the unchecked kernels at
 the end of this module, which the training loop calls directly, once per
 representation per step.
@@ -22,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, NonFiniteDataError
-from .frechet import GaussianStats, population_stats
+from .frechet import GaussianStats, population_scatter
 
 __all__ = [
     "QueueState",
@@ -35,6 +56,7 @@ __all__ = [
     "ema_commit",
     "ema_effective_weight",
     "warm_start",
+    "held_stats",
     "estimator_backprop",
 ]
 
@@ -65,12 +87,18 @@ class QueueState:
     """FIFO ring of the most recent generated feature rows.
 
     buffer has capacity rows; fill counts the valid ones and cursor points
-    at the oldest row (the next write slot once full).
+    at the oldest row (the next write slot once full). s1 and s2 are the
+    running sums of the stored rows about shift (see the module docstring),
+    and pushed counts the rows committed since they were last rebuilt.
     """
 
     buffer: np.ndarray
     fill: int
     cursor: int
+    shift: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    pushed: int
 
     @property
     def capacity(self) -> int:
@@ -86,7 +114,20 @@ class QueueState:
             raise DataError(
                 f"queue needs capacity >= 1 and dim >= 1, got ({capacity}, {dim})"
             )
-        return cls(buffer=np.zeros((capacity, dim)), fill=0, cursor=0)
+        return _rebuilt(np.zeros((capacity, dim)), fill=0, cursor=0)
+
+
+def _rebuilt(buffer: np.ndarray, fill: int, cursor: int) -> QueueState:
+    """The queue over buffer with its sums rebuilt exactly from the stored
+    rows, about their mean."""
+    dim = buffer.shape[1]
+    if fill == 0:
+        shift, s2 = np.zeros(dim), np.zeros((dim, dim))
+    else:
+        _, shift, s2 = population_scatter(buffer[:fill])
+    # S1 = 0: c is the rows' mean. Its rounding error, that of any computed
+    # mean, reaches sigma only through m m^T as the rows drift from c
+    return QueueState(buffer, fill, cursor, shift, np.zeros(dim), s2, pushed=0)
 
 
 def queue_contents(q: QueueState) -> np.ndarray:
@@ -116,16 +157,24 @@ def queue_commit(q: QueueState, batch: np.ndarray) -> QueueState:
 
 
 def _queue_push(q: QueueState, batch: np.ndarray) -> QueueState:
-    b = batch.shape[0]
+    """Fill empty slots first, then overwrite the oldest rows; the sums gain
+    the pushed rows and lose the evicted ones, and are rebuilt once a
+    capacity's worth of rows has been pushed since the last rebuild."""
+    b, capacity = batch.shape[0], q.capacity
+    take = min(b, capacity - q.fill)
+    evict = (q.cursor + np.arange(b - take)) % capacity
     buffer = q.buffer.copy()
-    if q.fill < q.capacity:
-        take = min(b, q.capacity - q.fill)
-        buffer[q.fill : q.fill + take] = batch[:take]
-        state = QueueState(buffer=buffer, fill=q.fill + take, cursor=0)
-        return _queue_push(state, batch[take:]) if take < b else state
-    idx = (q.cursor + np.arange(b)) % q.capacity
-    buffer[idx] = batch
-    return QueueState(buffer=buffer, fill=q.fill, cursor=int((q.cursor + b) % q.capacity))
+    buffer[q.fill : q.fill + take] = batch[:take]
+    buffer[evict] = batch[take:]
+    fill, cursor = q.fill + take, (q.cursor + b - take) % capacity
+    if q.pushed + b >= capacity:
+        return _rebuilt(buffer, fill, cursor)
+    added = batch - q.shift
+    evicted = q.buffer[evict] - q.shift
+    s1 = q.s1 + added.sum(axis=0) - evicted.sum(axis=0)
+    s2 = q.s2 + added.T @ added
+    s2 -= evicted.T @ evicted
+    return QueueState(buffer, fill, cursor, q.shift, s1, s2, q.pushed + b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,15 +280,28 @@ def warm_start(estimator, samples: np.ndarray):
                 f"queue warm start needs >= {estimator.capacity} rows, "
                 f"got {samples.shape[0]}"
             )
-        return QueueState(
-            buffer=samples[-estimator.capacity :].copy(),
-            fill=estimator.capacity,
-            cursor=0,
+        return _rebuilt(
+            samples[-estimator.capacity :].copy(), fill=estimator.capacity, cursor=0
         )
     if isinstance(estimator, EmaState):
         mu0, m0 = _batch_moments(_check_batch(samples, estimator.dim))
         return replace(estimator, mu_ema=mu0, m_ema=m0, initialized=True)
     raise DataError(f"unknown estimator type {type(estimator).__name__}")
+
+
+def held_stats(state) -> GaussianStats:
+    """Statistics a warm estimator holds before a batch joins: those of its
+    stored rows (queue) or of its running moments (EMA)."""
+    _require_warm(state)
+    if isinstance(state, QueueState):
+        stats = _queue_stats(state, np.empty((0, state.dim)))
+    else:
+        sigma = state.m_ema - np.outer(state.mu_ema, state.mu_ema)
+        stats = GaussianStats.trusted(
+            state.mu_ema, 0.5 * (sigma + sigma.T), ema_effective_weight(state.beta)
+        )
+    # validated: finite rows can still overflow the covariance
+    return GaussianStats(stats.mu, stats.sigma, stats.weight)
 
 
 def estimator_backprop(
@@ -285,10 +347,18 @@ def estimate(state, batch: np.ndarray):
     commit stores (None for a queue). stats.mu is the mean backprop needs:
     the combined mean for a queue, the blended mu_g for EMA."""
     if isinstance(state, QueueState):
-        rows = np.concatenate([queue_contents(state), batch], axis=0)
-        return population_stats(rows), None
+        return _queue_stats(state, batch), None
     mu_g, m_g, sigma_g = _blend(state, *_batch_moments(batch))
     return GaussianStats.trusted(mu_g, sigma_g, ema_effective_weight(state.beta)), m_g
+
+
+def _queue_stats(q: QueueState, batch: np.ndarray) -> GaussianStats:
+    """Statistics over the stored rows plus the batch, from the running sums."""
+    rows = q.fill + batch.shape[0]
+    centered = batch - q.shift
+    m = (q.s1 + centered.sum(axis=0)) / rows
+    sigma = (q.s2 + centered.T @ centered) / rows - np.outer(m, m)
+    return GaussianStats.trusted(q.shift + m, 0.5 * (sigma + sigma.T), float(rows))
 
 
 def backprop_estimate(

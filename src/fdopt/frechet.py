@@ -145,14 +145,22 @@ def feature_stats(spec: RepresentationSpec, samples: np.ndarray) -> GaussianStat
         raise DataError(
             f"samples must be n x {spec.in_dim} for {spec.kind}, got {samples.shape}"
         )
-    stats = _moments(feature_map(spec, block) for block in _row_blocks(samples))
+    blocks = (feature_map(spec, block) for block in _row_blocks(samples))
+    stats = _stats(*_scatter(blocks, owned=True))
     # a feature map can overflow on finite samples
     return GaussianStats(stats.mu, stats.sigma, stats.weight)
 
 
 def population_stats(features: np.ndarray) -> GaussianStats:
     """stats_from_features for a finite float64 n x d matrix, unchecked."""
-    return _moments(_row_blocks(features))
+    return _stats(*population_scatter(features))
+
+
+def population_scatter(features: np.ndarray):
+    """(n, mu, S) of a finite float64 n x d matrix, unchecked: its row count,
+    column mean and centred scatter S = sum_i (x_i - mu)(x_i - mu)^T, so that
+    population_stats has sigma = S / n."""
+    return _scatter(_row_blocks(features), owned=False)
 
 
 def _row_blocks(rows: np.ndarray):
@@ -160,14 +168,15 @@ def _row_blocks(rows: np.ndarray):
         yield rows[start : start + BLOCK_ROWS]
 
 
-def _moments(blocks) -> GaussianStats:
-    """Mean and population covariance of the rows of nonempty finite blocks,
-    merged as in the module docstring."""
+def _scatter(blocks, owned: bool):
+    """(n, mu, S) of the rows of nonempty finite blocks, merged as in the
+    module docstring. owned blocks were made for this call and are centred
+    in place; other blocks are left intact."""
     n = 0
     for block in blocks:
         block_n = block.shape[0]
         block_mu = block.mean(axis=0)
-        centered = block - block_mu
+        centered = np.subtract(block, block_mu, out=block if owned else None)
         block_scatter = centered.T @ centered
         if n == 0:
             n, mu, scatter = block_n, block_mu, block_scatter
@@ -178,6 +187,10 @@ def _moments(blocks) -> GaussianStats:
         scatter += block_scatter
         scatter += np.outer(delta, delta * (n * block_n / total))
         n = total
+    return n, mu, scatter
+
+
+def _stats(n: int, mu: np.ndarray, scatter: np.ndarray) -> GaussianStats:
     sigma = scatter / n
     return GaussianStats.trusted(mu, 0.5 * (sigma + sigma.T), float(n))
 

@@ -125,8 +125,11 @@ def feature_map(spec: RepresentationSpec, samples: np.ndarray) -> np.ndarray:
         iu_i, iu_j = np.triu_indices(spec.in_dim)
         return np.concatenate([samples, samples[:, iu_i] * samples[:, iu_j]], axis=1)
     w, b = _frozen_params(spec)
-    pre = samples @ w.T + b
-    return np.tanh(pre) if spec.kind == "tanh_rf" else pre
+    pre = samples @ w.T
+    pre += b
+    if spec.kind == "tanh_rf":
+        np.tanh(pre, out=pre)
+    return pre
 
 
 def featurize_backprop(

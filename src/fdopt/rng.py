@@ -62,17 +62,8 @@ class SplitMix64:
         self._state = int(seed) & _MASK64
 
     def _raw(self, n: int) -> np.ndarray:
-        # states are seed + GOLDEN * k, so a block can be produced in one shot;
-        # the finalizer then runs in place on that one array
-        z = np.arange(1, n + 1, dtype=np.uint64)
-        z *= np.uint64(_GOLDEN)
-        z += np.uint64(self._state)
+        z = _outputs(self._state, 0, n)
         self._state = (self._state + n * _GOLDEN) & _MASK64
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
         return z
 
     def uniforms(self, n: int) -> np.ndarray:
@@ -81,11 +72,7 @@ class SplitMix64:
             raise ValueError("n must be nonnegative")
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        bits = self._raw(n)
-        bits >>= np.uint64(11)
-        out = bits.astype(np.float64)
-        out *= 2.0 ** -53
-        return out
+        return _unit(self._raw(n))
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller."""
@@ -94,14 +81,68 @@ class SplitMix64:
         pairs = (n + 1) // 2
         # one draw: the first half are the radius uniforms, the second the angles
         u = self.uniforms(2 * pairs)
-        u1, u2 = u[:pairs], u[pairs:]
-        # 1 - u1 lies in (0, 1], keeping the log finite
-        radius = np.sqrt(-2.0 * np.log1p(-u1))
-        angle = (2.0 * np.pi) * u2
-        out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
-        return out[:n]
+        return _box_muller(u[:pairs], u[pairs:])[:n]
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.normals(rows * cols).reshape(rows, cols)
+
+    def normal_blocks(self, rows: int, cols: int, block_rows: int):
+        """normal_matrix(rows, cols) as successive blocks of block_rows rows
+        (the last may be shorter), the same values, drawing only each block's
+        uniforms. The stream moves past the whole matrix at once.
+
+        Pair k of the matrix takes radius uniform k and angle uniform
+        pairs + k of one normal_matrix draw; a block that starts on a pair
+        boundary (block_rows * cols even) draws exactly those two counter
+        windows."""
+        if block_rows < 1 or (block_rows * cols) % 2:
+            raise ValueError(
+                f"block_rows * cols must be even, got {block_rows} x {cols}"
+            )
+        pairs = (rows * cols + 1) // 2
+        state = self._state
+        self._state = (state + 2 * pairs * _GOLDEN) & _MASK64
+
+        def blocks():
+            for start in range(0, rows, block_rows):
+                count = min(block_rows, rows - start) * cols
+                first, width = start * cols // 2, (count + 1) // 2
+                radius = _unit(_outputs(state, first, width))
+                angle = _unit(_outputs(state, pairs + first, width))
+                yield _box_muller(radius, angle)[:count].reshape(-1, cols)
+
+        return blocks()
+
+
+def _outputs(state: int, start: int, n: int) -> np.ndarray:
+    """Outputs start + 1 .. start + n of the stream whose state is state."""
+    # states are seed + GOLDEN * k, so a block can be produced in one shot;
+    # the finalizer then runs in place on that one array
+    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(state)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _unit(bits: np.ndarray) -> np.ndarray:
+    """Doubles on [0, 1) from the top 53 bits; bits is overwritten."""
+    bits >>= np.uint64(11)
+    out = bits.astype(np.float64)
+    out *= 2.0 ** -53
+    return out
+
+
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Normals 2k, 2k + 1 from radius uniform u1[k] and angle uniform u2[k]."""
+    # 1 - u1 lies in (0, 1], keeping the log finite
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    angle = (2.0 * np.pi) * u2
+    out = np.empty(2 * u1.size, dtype=np.float64)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out

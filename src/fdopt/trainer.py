@@ -30,22 +30,19 @@ from .estimators import (
     QueueState,
     backprop_estimate,
     commit_estimate,
-    ema_effective_weight,
     estimate,
-    queue_contents,
+    held_stats,
     warm_start,
 )
 from .formats import read_features
 from .frechet import (
     BLOCK_ROWS,
-    GaussianStats,
     ReferenceStats,
     check_rows,
     fd,
     fd_with_grad,
     feature_stats,
     make_reference,
-    stats_from_features,
 )
 from .metrics import rep_labels
 from .representations import (
@@ -68,6 +65,7 @@ __all__ = [
     "TrainRecord",
     "MetricsLog",
     "generate",
+    "generate_from_stream",
     "generator_backprop",
     "optimizer_step",
     "lr_at",
@@ -198,12 +196,28 @@ def generate(model: GeneratorModel, z: np.ndarray) -> np.ndarray:
     only the n x out_dim output grows with n. Training keeps _forward,
     whose activations backprop needs."""
     z = _check_z(model, z)
-    n, last = z.shape[0], len(model.weights) - 1
+    n = z.shape[0]
+    blocks = (z[start : start + BLOCK_ROWS] for start in range(0, n, BLOCK_ROWS))
+    return _generate_blocks(model, blocks, n)
+
+
+def generate_from_stream(
+    model: GeneratorModel, stream: SplitMix64, n: int
+) -> np.ndarray:
+    """generate(model, stream.normal_matrix(n, model.z_dim)), byte for byte,
+    with each block's noise drawn just before its forward, so the noise
+    never exists as one n x z_dim matrix."""
+    return _generate_blocks(model, stream.normal_blocks(n, model.z_dim, BLOCK_ROWS), n)
+
+
+def _generate_blocks(model: GeneratorModel, z_blocks, n: int) -> np.ndarray:
+    """The forward of n noise rows given as blocks of at most BLOCK_ROWS."""
+    last = len(model.weights) - 1
     out = np.empty((n, model.out_dim))
     hidden = [np.empty((min(n, BLOCK_ROWS), w.shape[0])) for w in model.weights[:-1]]
-    for start in range(0, n, BLOCK_ROWS):
-        rows = min(BLOCK_ROWS, n - start)
-        act = z[start : start + rows]
+    start = 0
+    for act in z_blocks:
+        rows = act.shape[0]
         for i, (w, b) in enumerate(zip(model.weights, model.biases)):
             pre = out[start : start + rows] if i == last else hidden[i][:rows]
             np.matmul(act, w.T, out=pre)
@@ -211,6 +225,7 @@ def generate(model: GeneratorModel, z: np.ndarray) -> np.ndarray:
             if i != last:
                 np.tanh(pre, out=pre)
             act = pre
+        start += rows
     return out
 
 
@@ -558,16 +573,6 @@ def _fresh_estimators(config: TrainConfig):
     return states
 
 
-def _warm_stats(config: TrainConfig, state) -> GaussianStats:
-    """Statistics an estimator holds right after warm start."""
-    if config.estimator == "queue":
-        return stats_from_features(queue_contents(state))
-    sigma = state.m_ema - np.outer(state.mu_ema, state.mu_ema)
-    return GaussianStats(
-        state.mu_ema, 0.5 * (sigma + sigma.T), ema_effective_weight(state.beta)
-    )
-
-
 def _eval_model(config, model, refs, stream) -> list[float]:
     """Large-sample per-representation distances for a model snapshot."""
     x = generate(model, stream.normal_matrix(config.effective_warm_start, config.z_dim))
@@ -608,9 +613,7 @@ def post_train(
     xw = generate(model, zw)
     for i, spec in enumerate(config.ensemble.specs):
         states[i] = warm_start(states[i], featurize(spec, xw))
-    warm_fds = [
-        fd(ref, _warm_stats(config, state)) for ref, state in zip(refs, states)
-    ]
+    warm_fds = [fd(ref, held_stats(state)) for ref, state in zip(refs, states)]
     warm_loss, _ = ensemble_loss(config.ensemble, warm_fds)
     log.records.append(
         TrainRecord("warm_start", 0, 0.0, warm_loss, tuple(warm_fds))

@@ -17,6 +17,7 @@ from fdopt.formats import (
     read_features,
     read_metrics_log,
     read_stats,
+    write_checkpoint,
     write_features,
     write_metrics_log,
     write_report_csv,
@@ -25,7 +26,8 @@ from fdopt.formats import (
 from fdopt.frechet import fd, make_reference, stats_from_features
 from fdopt.metrics import build_report
 from fdopt.representations import featurize
-from fdopt.trainer import sample_target
+from fdopt.rng import SplitMix64, derive_seed
+from fdopt.trainer import GeneratorModel, generate, sample_target
 
 CONFIG_TEXT = textwrap.dedent(
     """\
@@ -103,6 +105,26 @@ class TestUsage:
             ["sample", "--ckpt", "x", "--n", "0", "--out", path(workspace, "g.bin")]
         )
         assert code == 1
+
+
+class TestSample:
+    @pytest.mark.parametrize(
+        "n, z_dim", [(1, 3), (4097, 3), (131_072, 3), (1, 8), (4097, 8), (131_072, 8)]
+    )
+    def test_bytes_equal_one_noise_draw(self, tmp_path, n, z_dim):
+        # noise is drawn one block at a time; the bytes must be those of one
+        # n x z_dim draw, also when n * z_dim is odd and the last Box-Muller
+        # pair is half used
+        model = GeneratorModel.init([z_dim, 16, 2], seed=4)
+        ckpt, out, want = (str(tmp_path / f) for f in ("g.ckpt", "g.bin", "want.bin"))
+        write_checkpoint(ckpt, model.weights, model.biases)
+        code = cli_dispatch(
+            ["sample", "--ckpt", ckpt, "--n", str(n), "--seed", "7", "--out", out]
+        )
+        assert code == 0
+        noise = SplitMix64(derive_seed("sample-noise", 7)).normal_matrix(n, z_dim)
+        write_features(want, generate(model, noise))
+        assert Path(out).read_bytes() == Path(want).read_bytes()
 
 
 class TestDataErrors:

@@ -12,12 +12,19 @@ from fdopt.estimators import (
     ema_blend,
     ema_commit,
     estimator_backprop,
+    held_stats,
     queue_commit,
     queue_contents,
     queue_stats_with_batch,
     warm_start,
 )
-from fdopt.frechet import GaussianStats, fd, fd_with_grad, make_reference
+from fdopt.frechet import (
+    GaussianStats,
+    fd,
+    fd_with_grad,
+    make_reference,
+    stats_from_features,
+)
 from fdopt.rng import SplitMix64
 from oracles import (
     central_difference,
@@ -115,6 +122,87 @@ class TestQueue:
         )
         assert np.abs(stats.mu - mu).max() <= 1e-12
         assert np.abs(stats.sigma - cov).max() <= 1e-12
+
+
+class TestQueueRunningSums:
+    """The queue's statistics come from running sums about a shift; the
+    dense statistics of the concatenated rows are the oracle."""
+
+    @pytest.mark.parametrize("offset", [0.0, 10.0, 1000.0])
+    def test_matches_concatenation_over_ten_turnovers(self, offset):
+        capacity, b, d = 1024, 32, 64
+        stream = SplitMix64(1234)
+        q = warm_start(
+            QueueState.empty(capacity, d), offset + stream.normal_matrix(capacity, d)
+        )
+        worst = 0.0
+        for step in range(10 * capacity // b):
+            # the rows drift away from the shift the sums were last built at
+            drift = 0.5 * step * b / capacity
+            batch = offset + drift + stream.normal_matrix(b, d)
+            stats = queue_stats_with_batch(q, batch)
+            mu, cov = population_stats_oracle(
+                np.concatenate([queue_contents(q), batch], axis=0)
+            )
+            worst = max(
+                worst, relative_error(stats.mu, mu), relative_error(stats.sigma, cov)
+            )
+            q = queue_commit(q, batch)
+        assert worst < 1e-10
+
+    def test_held_stats_are_the_stored_rows(self):
+        q = warm_queue(50, 64, 3)
+        # right after a rebuild: the dense statistics of the rows, bit for bit
+        dense = stats_from_features(queue_contents(q))
+        held = held_stats(q)
+        assert held.mu.tobytes() == dense.mu.tobytes()
+        assert held.sigma.tobytes() == dense.sigma.tobytes()
+        for k in range(3):
+            q = queue_commit(q, 5.0 + SplitMix64(51 + k).normal_matrix(16, 3))
+        mu, cov = population_stats_oracle(queue_contents(q))
+        held = held_stats(q)
+        assert relative_error(held.mu, mu) < 1e-12
+        assert relative_error(held.sigma, cov) < 1e-12
+        assert held.weight == 64.0
+
+    def test_dense_rebuild_once_per_turnover(self, monkeypatch):
+        import fdopt.estimators as estimators_module
+        import fdopt.frechet as frechet_module
+        from fdopt.representations import RepresentationEnsemble, RepresentationSpec
+        from fdopt.trainer import TargetSpec, TrainConfig, post_train
+
+        counts = {"population_scatter": 0, "population_stats": 0}
+        for module, name in (
+            (estimators_module, "population_scatter"),
+            (frechet_module, "population_stats"),
+        ):
+
+            def counted(*args, _name=name, _original=getattr(module, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        steps, b, capacity = 64, 32, 1024
+        config = TrainConfig(
+            ensemble=RepresentationEnsemble(
+                specs=(RepresentationSpec("tanh_rf", 1, 2, 16),)
+            ),
+            target=TargetSpec.mixture(
+                means=[[0.0, 1.0]], covs=[np.eye(2)], weights=[1.0], sample_seed=2
+            ),
+            batch_size=b,
+            total_steps=steps,
+            warmup_steps=4,
+            hidden=(8,),
+            estimator="queue",
+            queue_capacity=capacity,
+        )
+        post_train(config)
+        # the warm start, then one rebuild per full turnover of the queue
+        assert counts == {
+            "population_scatter": 1 + steps * b // capacity,
+            "population_stats": 0,
+        }
 
 
 class TestEmaMoments:

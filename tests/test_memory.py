@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 
+from fdopt.cli import cli_dispatch
+from fdopt.formats import write_checkpoint
 from fdopt.frechet import feature_stats
 from fdopt.metrics import build_report
 from fdopt.representations import RepresentationEnsemble, RepresentationSpec
@@ -52,3 +54,15 @@ def test_build_report_peak_is_independent_of_split_size():
     report, peak = traced_peak(build_report, ensemble, train_stats, val, gen)
     assert np.isfinite(report.fdr_k)
     assert peak < 16 * MB
+
+
+def test_sample_peak_holds_no_full_noise_matrix(tmp_path):
+    # the whole 131072 x 8 noise matrix is 8 MB, and drawing it at once
+    # takes several times that in Box-Muller temporaries
+    model = GeneratorModel.init([8, 64, 64, 2], seed=0)
+    ckpt = str(tmp_path / "g.ckpt")
+    write_checkpoint(ckpt, model.weights, model.biases)
+    argv = ["sample", "--ckpt", ckpt, "--n", str(ROWS), "--out", str(tmp_path / "g.bin")]
+    code, peak = traced_peak(cli_dispatch, argv)
+    assert code == 0
+    assert peak < 10 * MB
