@@ -21,10 +21,12 @@ and sigma = S / n at the end. The first block is taken as-is, so a
 population of at most BLOCK_ROWS rows gets exactly the dense two-pass
 result.
 
-Covariances use the population divisor (1/n) everywhere. The EMA estimator
-recovers its covariance as M - mu mu^T, which is a population form; mixing
-divisors would make the queue and EMA estimators disagree in the large-N
-limit. Note that some external FID tools use 1/(n-1) instead.
+The estimators merge a held history summary with the live batch by the
+same update, in fraction form (see merge_moments).
+
+Covariances use the population divisor (1/n) everywhere, so a batch's
+covariance merges with a history's without rescaling. Note that some
+external FID tools use 1/(n-1) instead.
 """
 
 from __future__ import annotations
@@ -174,20 +176,36 @@ def _scatter(blocks, owned: bool):
     in place; other blocks are left intact."""
     n = 0
     for block in blocks:
-        block_n = block.shape[0]
-        block_mu = block.mean(axis=0)
-        centered = np.subtract(block, block_mu, out=block if owned else None)
-        block_scatter = centered.T @ centered
+        block_n, block_mu, block_s = block_scatter(block, owned)
         if n == 0:
-            n, mu, scatter = block_n, block_mu, block_scatter
+            n, mu, scatter = block_n, block_mu, block_s
             continue
         total = n + block_n
-        delta = block_mu - mu
-        mu = mu + delta * (block_n / total)
-        scatter += block_scatter
-        scatter += np.outer(delta, delta * (n * block_n / total))
+        mu, scatter = merge_moments(
+            mu, scatter, block_mu, block_s, block_n / total, n * block_n / total
+        )
         n = total
     return n, mu, scatter
+
+
+def block_scatter(block: np.ndarray, owned: bool = False):
+    """(n, mu, S) of one nonempty finite float64 block, unchecked: its
+    two-pass mean and centred scatter. An owned block is centred in place."""
+    mu = block.mean(axis=0)
+    centered = np.subtract(block, mu, out=block if owned else None)
+    return block.shape[0], mu, centered.T @ centered
+
+
+def merge_moments(mu_a, s_a, mu_b, s_b, frac_b: float, cross: float):
+    """The pairwise update of the module docstring, with delta = mu_b - mu_a:
+    (mu_a + frac_b delta, s_a + s_b + cross delta delta^T), s_a updated in
+    place. Scatters take frac_b = n_b / n and cross = n_a n_b / n; weighted
+    covariances (1 - f) sigma_a and f sigma_b take frac_b = f and
+    cross = f (1 - f)."""
+    delta = mu_b - mu_a
+    s_a += s_b
+    s_a += np.outer(delta, delta * cross)
+    return mu_a + delta * frac_b, s_a
 
 
 def _stats(n: int, mu: np.ndarray, scatter: np.ndarray) -> GaussianStats:
@@ -244,18 +262,12 @@ def default_grad_floor(ref: ReferenceStats) -> float:
     return 1e-10 * max(ref.trace, 0.0) / ref.dim
 
 
-def fd_grad_stats(
-    ref: ReferenceStats, gen: GaussianStats, eps_floor: float | None = None
-) -> FdGradient:
-    """Closed-form gradient: d_mu = 2 (mu_g - mu_r),
-    d_sigma = I - R C^{-1/2} R with C = R sigma_g R floored at eps_floor."""
-    return fd_with_grad(ref, gen, eps_floor)[1]
-
-
 def fd_with_grad(
     ref: ReferenceStats, gen: GaussianStats, eps_floor: float | None = None
 ):
-    """fd value and gradient from a single eigendecomposition."""
+    """fd value and closed-form gradient from a single eigendecomposition:
+    d_mu = 2 (mu_g - mu_r), d_sigma = I - R C^{-1/2} R with C = R sigma_g R
+    floored at eps_floor."""
     if eps_floor is None:
         eps_floor = default_grad_floor(ref)
     value, w, v = _value(ref, gen)

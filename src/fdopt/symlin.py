@@ -1,9 +1,11 @@
 """Dense symmetric eigendecomposition and the PSD primitives built on it.
 
 Everything here is pure-function and double precision. The eigensolver is
-LAPACK's symmetric driver (``np.linalg.eigh``) behind an input check, so a
-run is byte-reproducible on a given machine and BLAS build. Callers use
-eigenvectors only through V f(w) V^T, which does not depend on their signs.
+LAPACK's symmetric driver (``np.linalg.eigh``), so a run is
+byte-reproducible on a given machine and BLAS build. Its input is checked
+once where it enters (check_symmetric) or built exactly symmetric. Callers
+use eigenvectors only through V f(w) V^T, which does not depend on their
+signs.
 """
 
 from __future__ import annotations
@@ -45,14 +47,9 @@ def check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def eig_sym(a: np.ndarray, name: str = "matrix"):
     """(eigenvalues ascending, orthonormal eigenvectors as columns) of a
-    symmetric matrix, with A = V diag(w) V^T. A LAPACK failure is raised as
-    NumericalError naming the matrix."""
-    return eig_symmetrized(check_symmetric(a, name), name)
-
-
-def eig_symmetrized(a: np.ndarray, name: str):
-    """eig_sym for a float64 matrix the caller has already checked or made
-    exactly symmetric; the input is not checked again."""
+    float64 matrix the caller has checked (check_symmetric) or made exactly
+    symmetric, with A = V diag(w) V^T; the input is not checked again. A
+    LAPACK failure is raised as NumericalError naming the matrix."""
     try:
         return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -62,7 +59,7 @@ def eig_symmetrized(a: np.ndarray, name: str):
 def sqrt_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition (see psd_root)."""
     a = check_symmetric(a, name)
-    w, v = eig_symmetrized(a, name)
+    w, v = eig_sym(a, name)
     return psd_root(w, v, float(np.trace(a)), name)
 
 
@@ -101,7 +98,7 @@ def congruence_eig(ref_root: np.ndarray, gen_cov: np.ndarray):
         )
     inner = ref_root @ gen_cov @ ref_root
     inner = 0.5 * (inner + inner.T)
-    w, v = eig_symmetrized(inner, "congruence R C R")
+    w, v = eig_sym(inner, "congruence R C R")
     worst = -float(w.min())
     if worst > 0.0 and worst > 1e-8 * abs(float(np.trace(inner))):
         log.warning("congruence_eig: clamping eigenvalue of magnitude %.6e", worst)

@@ -53,7 +53,7 @@ from .representations import (
     featurize,
 )
 from .rng import SplitMix64, derive_seed
-from .symlin import check_symmetric, eig_symmetrized, psd_root
+from .symlin import check_symmetric, eig_sym, psd_root
 
 ADAM_EPS = 1e-8
 
@@ -385,7 +385,7 @@ class TargetSpec:
         for i in range(k):
             name = f"component {i} covariance"
             cov = check_symmetric(covs[i], name=name)
-            w, v = eig_symmetrized(cov, name)
+            w, v = eig_sym(cov, name)
             trace = float(np.trace(cov))
             if w.min() < -1e-8 * max(abs(trace), 1.0):
                 raise DataError(f"{name} is not PSD")
@@ -631,10 +631,10 @@ def post_train(
         # before the bounded normalized loss itself goes NaN
         if not np.isfinite(x).all():
             raise NonFiniteLossError(step, "samples", last_good_model=fit.model)
-        fds, grads, stats, moments, feats = [], [], [], [], []
+        fds, grads, stats, feats = [], [], [], []
         for (spec, ref, label), state in zip(reps, states):
             f = feature_map(spec, x)
-            s, m_g = estimate(state, f)
+            s = estimate(state, f)
             # the covariance is finite only if the features and their
             # squares are, so one scan covers the batch and its moments
             if not np.isfinite(s.sigma).all():
@@ -642,7 +642,6 @@ def post_train(
             value, grad = fd_with_grad(ref, s)
             feats.append(f)
             stats.append(s)
-            moments.append(m_g)
             fds.append(value)
             grads.append(grad)
         loss, scales = ensemble_loss(config.ensemble, fds)
@@ -661,9 +660,7 @@ def post_train(
             )
             sample_grads += feature_map_backprop(spec, x, feats[i], feat_grads)
         fit.update(acts, sample_grads, lr, step)
-        states = [
-            commit_estimate(*args) for args in zip(states, feats, stats, moments)
-        ]
+        states = [commit_estimate(*args) for args in zip(states, feats, stats)]
         log.records.append(TrainRecord("train", step, lr, loss, tuple(fds)))
     model = fit.model
 

@@ -21,12 +21,11 @@ from fdopt.config import load_config
 from fdopt.estimators import (
     EmaState,
     QueueState,
-    ema_batch_moments,
-    ema_blend,
-    ema_commit,
-    estimator_backprop,
+    backprop_estimate,
+    commit_estimate,
+    estimate,
+    held_stats,
     queue_contents,
-    queue_stats_with_batch,
     warm_start,
 )
 from fdopt.frechet import (
@@ -145,7 +144,7 @@ def test_gradient_suite(criterion):
     with criterion("gradient suite (4 ops x 200 + end-to-end x 50, rel 1e-4)"):
         start = time.perf_counter()
 
-        # fd_grad_stats against finite differences over (mu, sigma)
+        # the fd_with_grad gradient against finite differences over (mu, sigma)
         for i in range(200):
             rng = np.random.default_rng(3000 + i)
             d = 2 + i % 5
@@ -160,7 +159,7 @@ def test_gradient_suite(criterion):
             )
             assert relative_error(grad.d_sigma, num_sigma) < 1e-4, i
 
-        # estimator_backprop, both kinds, against pipeline finite differences
+        # backprop_estimate, both kinds, against pipeline finite differences
         for kind in ("queue", "ema"):
             for i in range(200):
                 rng = np.random.default_rng(4000 + i)
@@ -172,27 +171,16 @@ def test_gradient_suite(criterion):
                 history = rng.normal(size=(12, d))
                 if kind == "queue":
                     state = warm_start(QueueState.empty(8, d), history)
-
-                    def pipeline(batch2d):
-                        return fd(ref, queue_stats_with_batch(state, batch2d))
-
                 else:
                     state = warm_start(EmaState.empty(0.9, d), history)
 
-                    def pipeline(batch2d):
-                        mu_b, m_b = ema_batch_moments(batch2d)
-                        mu_g, _, sigma_g = ema_blend(state, mu_b, m_b)
-                        return fd(ref, GaussianStats(mu_g, sigma_g, 1.0))
+                def pipeline(batch2d):
+                    return fd(ref, estimate(state, batch2d))
 
                 batch = rng.normal(size=(B, d))
-                if kind == "queue":
-                    stats = queue_stats_with_batch(state, batch)
-                else:
-                    mu_b, m_b = ema_batch_moments(batch)
-                    mu_g, _, sigma_g = ema_blend(state, mu_b, m_b)
-                    stats = GaussianStats(mu_g, sigma_g, 1.0)
+                stats = estimate(state, batch)
                 _, grad = fd_with_grad(ref, stats)
-                got = estimator_backprop(kind, state, batch, grad.d_mu, grad.d_sigma)
+                got = backprop_estimate(state, batch, stats.mu, grad.d_mu, grad.d_sigma)
                 num = central_difference(
                     lambda flat: pipeline(flat.reshape(B, d)), batch.ravel()
                 ).reshape(B, d)
@@ -291,9 +279,7 @@ def _check_end_to_end_instance(seed: int) -> None:
         samples = generate(m, z)
         values = []
         for spec, ref, state in zip(ensemble.specs, refs, states):
-            mu_b, m_b = ema_batch_moments(featurize(spec, samples))
-            mu_g, _, sigma_g = ema_blend(state, mu_b, m_b)
-            values.append(fd(ref, GaussianStats(mu_g, sigma_g, 1.0)))
+            values.append(fd(ref, estimate(state, featurize(spec, samples))))
         return np.array(values)
 
     base_fds = per_rep_fds(model)
@@ -302,10 +288,9 @@ def _check_end_to_end_instance(seed: int) -> None:
     samples = generate(model, z)
     for spec, ref, state, scale in zip(ensemble.specs, refs, states, scales):
         feats = featurize(spec, samples)
-        mu_b, m_b = ema_batch_moments(feats)
-        mu_g, _, sigma_g = ema_blend(state, mu_b, m_b)
-        _, grad = fd_with_grad(ref, GaussianStats(mu_g, sigma_g, 1.0))
-        feat_grads = estimator_backprop("ema", state, feats, grad.d_mu, grad.d_sigma)
+        stats = estimate(state, feats)
+        _, grad = fd_with_grad(ref, stats)
+        feat_grads = backprop_estimate(state, feats, stats.mu, grad.d_mu, grad.d_sigma)
         sample_grads += scale * featurize_backprop(spec, samples, feat_grads)
     got = np.concatenate([g.ravel() for g in generator_backprop(model, z, sample_grads)])
 
@@ -333,7 +318,7 @@ def test_estimator_oracles(criterion):
                     rows = SplitMix64(N * 100 + B * 10 + d).normal_matrix(N, d)
                     state = warm_start(QueueState.empty(N, d), rows)
                     batch = SplitMix64(N + B + d).normal_matrix(B, d)
-                    stats = queue_stats_with_batch(state, batch)
+                    stats = estimate(state, batch)
                     mu, cov = population_stats_oracle(
                         np.concatenate([queue_contents(state), batch])
                     )
@@ -347,17 +332,18 @@ def test_estimator_oracles(criterion):
             state = warm_start(
                 EmaState.empty(beta, d), SplitMix64(seed).normal_matrix(16, d)
             )
-            mu0, m0 = state.mu_ema.copy(), state.m_ema.copy()
+            held = held_stats(state)
+            mu0, m0 = held.mu, held.sigma + np.outer(held.mu, held.mu)
             moments = []
             for k in range(100):
                 batch = SplitMix64(1000 * seed + k).normal_matrix(4, d)
-                mu_b, m_b = ema_batch_moments(batch)
-                moments.append((mu_b, m_b))
-                mu_g, m_g, _ = ema_blend(state, mu_b, m_b)
-                state = ema_commit(state, mu_g, m_g)
+                moments.append((batch.mean(axis=0), batch.T @ batch / 4))
+                state = commit_estimate(state, batch, estimate(state, batch))
             want_mu, want_m = ema_replay_oracle(mu0, m0, moments, beta)
-            assert np.abs(state.mu_ema - want_mu).max() <= 1e-10
-            assert np.abs(state.m_ema - want_m).max() <= 1e-10
+            held = held_stats(state)
+            want_sigma = want_m - np.outer(want_mu, want_mu)
+            assert np.abs(held.mu - want_mu).max() <= 1e-10
+            assert np.abs(held.sigma - want_sigma).max() <= 1e-10
 
         # beta = 0 reduces exactly to batch-only statistics
         for seed in range(5):
@@ -366,12 +352,10 @@ def test_estimator_oracles(criterion):
                 EmaState.empty(0.0, d), SplitMix64(seed).normal_matrix(10, d)
             )
             batch = SplitMix64(50 + seed).normal_matrix(6, d)
-            mu_b, m_b = ema_batch_moments(batch)
-            mu_g, m_g, sigma_g = ema_blend(state, mu_b, m_b)
+            stats = estimate(state, batch)
             direct = stats_from_features(batch)
-            assert np.array_equal(mu_g, mu_b)
-            assert np.array_equal(m_g, m_b)
-            assert np.abs(sigma_g - direct.sigma).max() <= 1e-14
+            assert np.array_equal(stats.mu, batch.mean(axis=0))
+            assert np.array_equal(stats.sigma, direct.sigma)
 
 
 # ---------------------------------------------------------------------------

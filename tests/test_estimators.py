@@ -8,14 +8,11 @@ from fdopt.errors import DataError
 from fdopt.estimators import (
     EmaState,
     QueueState,
-    ema_batch_moments,
-    ema_blend,
-    ema_commit,
-    estimator_backprop,
+    backprop_estimate,
+    commit_estimate,
+    estimate,
     held_stats,
-    queue_commit,
     queue_contents,
-    queue_stats_with_batch,
     warm_start,
 )
 from fdopt.frechet import (
@@ -44,20 +41,27 @@ def warm_ema(seed: int, beta: float, dim: int, rows: int = 16) -> EmaState:
     return warm_start(EmaState.empty(beta, dim), samples)
 
 
+def commit(state, batch: np.ndarray):
+    """One step's estimate and commit, as the training loop runs them."""
+    return commit_estimate(state, batch, estimate(state, batch))
+
+
+def backprop(state, batch: np.ndarray, d_mu: np.ndarray, d_sigma: np.ndarray):
+    return backprop_estimate(state, batch, estimate(state, batch).mu, d_mu, d_sigma)
+
+
 class TestQueue:
     def test_duplicated_rows_match_batch_stats(self):
         batch = SplitMix64(1).normal_matrix(4, 2)
         q = warm_start(QueueState.empty(4, 2), batch)
-        stats = queue_stats_with_batch(q, batch)
-        from fdopt.frechet import stats_from_features
-
+        stats = estimate(q, batch)
         direct = stats_from_features(batch)
         assert np.allclose(stats.mu, direct.mu, atol=1e-14)
         assert np.allclose(stats.sigma, direct.sigma, atol=1e-14)
 
     def test_all_zero(self):
         q = warm_start(QueueState.empty(3, 2), np.zeros((3, 2)))
-        stats = queue_stats_with_batch(q, np.zeros((2, 2)))
+        stats = estimate(q, np.zeros((2, 2)))
         assert np.allclose(stats.mu, 0.0)
         assert np.allclose(stats.sigma, 0.0)
         assert stats.weight == 5.0
@@ -65,7 +69,7 @@ class TestQueue:
     def test_matches_concatenation_oracle(self):
         q = warm_queue(10, 64, 3)
         batch = SplitMix64(11).normal_matrix(16, 3)
-        stats = queue_stats_with_batch(q, batch)
+        stats = estimate(q, batch)
         rows = np.concatenate([queue_contents(q), batch], axis=0)
         assert rows.shape == (80, 3)
         mu, cov = population_stats_oracle(rows)
@@ -76,18 +80,18 @@ class TestQueue:
     def test_unwarmed_rejected(self):
         q = QueueState.empty(4, 2)
         with pytest.raises(DataError, match="warm_start"):
-            queue_stats_with_batch(q, np.zeros((2, 2)))
+            estimate(q, np.zeros((2, 2)))
 
     def test_commit_fifo_pair(self):
         a, b, c = np.array([[1.0]]), np.array([[2.0]]), np.array([[3.0]])
         q = warm_start(QueueState.empty(2, 1), np.concatenate([a, b]))
-        q = queue_commit(q, c)
+        q = commit(q, c)
         assert np.allclose(queue_contents(q), [[2.0], [3.0]])
 
     def test_commit_full_capacity_replaces_all(self):
         q = warm_queue(20, 4, 2)
         batch = SplitMix64(21).normal_matrix(4, 2)
-        q = queue_commit(q, batch)
+        q = commit(q, batch)
         assert np.array_equal(queue_contents(q), batch)
 
     def test_commit_sequence_replay(self):
@@ -96,27 +100,16 @@ class TestQueue:
         for k in range(5):
             batch = SplitMix64(31 + k).normal_matrix(2, 2)
             committed.append(batch)
-            q = queue_commit(q, batch)
+            q = commit(q, batch)
         tail = np.concatenate(committed, axis=0)[-8:]
         assert np.array_equal(queue_contents(q), tail)
-
-    def test_oversized_commit_rejected(self):
-        q = warm_queue(40, 2, 2)
-        with pytest.raises(DataError, match="capacity"):
-            queue_commit(q, np.zeros((3, 2)))
-
-    def test_incremental_fill_then_wrap(self):
-        q = QueueState.empty(4, 1)
-        for v in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]:
-            q = queue_commit(q, np.array([[v]]))
-        assert np.allclose(queue_contents(q).ravel(), [3.0, 4.0, 5.0, 6.0])
 
     @given(st.integers(0, 2**31), st.integers(1, 12), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_stats_always_match_concat(self, seed, capacity, b):
         q = warm_queue(seed, capacity, 3)
         batch = SplitMix64(seed ^ 0xDEAD).normal_matrix(b, 3)
-        stats = queue_stats_with_batch(q, batch)
+        stats = estimate(q, batch)
         mu, cov = population_stats_oracle(
             np.concatenate([queue_contents(q), batch], axis=0)
         )
@@ -140,14 +133,14 @@ class TestQueueRunningSums:
             # the rows drift away from the shift the sums were last built at
             drift = 0.5 * step * b / capacity
             batch = offset + drift + stream.normal_matrix(b, d)
-            stats = queue_stats_with_batch(q, batch)
+            stats = estimate(q, batch)
             mu, cov = population_stats_oracle(
                 np.concatenate([queue_contents(q), batch], axis=0)
             )
             worst = max(
                 worst, relative_error(stats.mu, mu), relative_error(stats.sigma, cov)
             )
-            q = queue_commit(q, batch)
+            q = commit(q, batch)
         assert worst < 1e-10
 
     def test_held_stats_are_the_stored_rows(self):
@@ -158,7 +151,7 @@ class TestQueueRunningSums:
         assert held.mu.tobytes() == dense.mu.tobytes()
         assert held.sigma.tobytes() == dense.sigma.tobytes()
         for k in range(3):
-            q = queue_commit(q, 5.0 + SplitMix64(51 + k).normal_matrix(16, 3))
+            q = commit(q, 5.0 + SplitMix64(51 + k).normal_matrix(16, 3))
         mu, cov = population_stats_oracle(queue_contents(q))
         held = held_stats(q)
         assert relative_error(held.mu, mu) < 1e-12
@@ -206,107 +199,133 @@ class TestQueueRunningSums:
 
 
 class TestEmaMoments:
+    """At beta = 0 the EMA's statistics are the batch's own moments."""
+
     def test_single_row(self):
-        mu_b, m_b = ema_batch_moments(np.array([[2.0, 0.0]]))
-        assert np.allclose(mu_b, [2.0, 0.0])
-        assert np.allclose(m_b, [[4.0, 0.0], [0.0, 0.0]])
+        stats = estimate(warm_ema(50, 0.0, 2), np.array([[2.0, 0.0]]))
+        assert np.allclose(stats.mu, [2.0, 0.0])
+        assert np.allclose(stats.sigma, np.zeros((2, 2)))
 
     def test_symmetric_pair(self):
-        mu_b, m_b = ema_batch_moments(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-        assert np.allclose(mu_b, 0.0)
-        assert np.allclose(m_b, np.diag([1.0, 0.0]))
+        stats = estimate(warm_ema(50, 0.0, 2), np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        assert np.allclose(stats.mu, 0.0)
+        assert np.allclose(stats.sigma, np.diag([1.0, 0.0]))
 
     def test_matches_naive_summation(self):
         batch = SplitMix64(50).normal_matrix(32, 4)
-        mu_b, m_b = ema_batch_moments(batch)
+        stats = estimate(warm_ema(51, 0.0, 4), batch)
         mu_naive = np.zeros(4)
-        m_naive = np.zeros((4, 4))
         for row in batch:
             mu_naive += row / 32
-            m_naive += np.outer(row, row) / 32
-        assert np.abs(mu_b - mu_naive).max() <= 1e-12
-        assert np.abs(m_b - m_naive).max() <= 1e-12
+        sigma_naive = np.zeros((4, 4))
+        for row in batch:
+            sigma_naive += np.outer(row - mu_naive, row - mu_naive) / 32
+        assert np.abs(stats.mu - mu_naive).max() <= 1e-12
+        assert np.abs(stats.sigma - sigma_naive).max() <= 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            ema_batch_moments(np.empty((0, 3)))
+            warm_start(EmaState.empty(0.9, 3), np.empty((0, 3)))
+
+
+def batch_moments(batch: np.ndarray):
+    """Raw batch moments (mean, E[x x^T]) for the geometric replay oracle."""
+    return batch.mean(axis=0), batch.T @ batch / batch.shape[0]
 
 
 class TestEmaBlend:
     def test_beta_zero_is_batch_only(self):
-        s = warm_ema(60, 0.0, 3)
-        batch = SplitMix64(61).normal_matrix(8, 3)
-        mu_b, m_b = ema_batch_moments(batch)
-        mu_g, m_g, sigma_g = ema_blend(s, mu_b, m_b)
-        assert np.array_equal(mu_g, mu_b)
-        assert np.array_equal(m_g, m_b)
-        assert np.allclose(sigma_g, m_b - np.outer(mu_b, mu_b), atol=1e-15)
+        for offset in (0.0, 1e4, 1e6):
+            s = warm_ema(60, 0.0, 3)
+            batch = offset + SplitMix64(61).normal_matrix(8, 3)
+            stats = estimate(s, batch)
+            direct = stats_from_features(batch)
+            assert stats.mu.tobytes() == direct.mu.tobytes()
+            assert stats.sigma.tobytes() == direct.sigma.tobytes()
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e6])
+    @pytest.mark.parametrize("beta", [0.0, 0.9])
+    def test_matches_weighted_oracle_far_from_origin(self, beta, offset):
+        # the merge keeps centred moments, so an offset costs no accuracy
+        d, b, n = 4, 32, 64
+        warm = offset + SplitMix64(68).normal_matrix(n, d)
+        batch = offset + SplitMix64(69).normal_matrix(b, d)
+        stats = estimate(warm_start(EmaState.empty(beta, d), warm), batch)
+        rows = np.concatenate([warm, batch])
+        w = np.concatenate([np.full(n, beta / n), np.full(b, (1.0 - beta) / b)])
+        mu = np.average(rows, axis=0, weights=w)
+        cov = np.cov(rows, rowvar=False, aweights=w, bias=True)
+        assert relative_error(stats.mu, mu) < 1e-10
+        assert relative_error(stats.sigma, cov) < 1e-10
+        if beta == 0.0:
+            direct = stats_from_features(batch)
+            assert stats.mu.tobytes() == direct.mu.tobytes()
+            assert stats.sigma.tobytes() == direct.sigma.tobytes()
 
     def test_fixed_point_on_warm_start_batch(self):
         batch = SplitMix64(62).normal_matrix(16, 2)
         for beta in [0.0, 0.5, 0.999]:
             s = warm_start(EmaState.empty(beta, 2), batch)
-            mu_b, m_b = ema_batch_moments(batch)
-            mu_g, m_g, _ = ema_blend(s, mu_b, m_b)
-            assert np.allclose(mu_g, s.mu_ema, atol=1e-14)
-            assert np.allclose(m_g, s.m_ema, atol=1e-14)
+            stats = estimate(s, batch)
+            assert np.allclose(stats.mu, s.mu, atol=1e-14)
+            assert np.allclose(stats.sigma, s.sigma, atol=1e-14)
 
     def test_hundred_step_geometric_replay(self):
         beta = 0.999
         s = warm_ema(63, beta, 3)
-        mu0, m0 = s.mu_ema.copy(), s.m_ema.copy()
+        mu0 = s.mu.copy()
+        m0 = s.sigma + np.outer(mu0, mu0)
         history = []
         for k in range(100):
             batch = SplitMix64(700 + k).normal_matrix(8, 3)
-            mu_b, m_b = ema_batch_moments(batch)
-            history.append((mu_b, m_b))
-            mu_g, m_g, _ = ema_blend(s, mu_b, m_b)
-            s = ema_commit(s, mu_g, m_g)
+            history.append(batch_moments(batch))
+            s = commit(s, batch)
         mu_want, m_want = ema_replay_oracle(mu0, m0, history, beta)
-        assert np.abs(s.mu_ema - mu_want).max() <= 1e-10
-        assert np.abs(s.m_ema - m_want).max() <= 1e-10
+        held = held_stats(s)
+        assert np.abs(held.mu - mu_want).max() <= 1e-10
+        assert np.abs(held.sigma - (m_want - np.outer(mu_want, mu_want))).max() <= 1e-10
 
     def test_uninitialized_rejected(self):
         s = EmaState.empty(0.9, 2)
         with pytest.raises(DataError, match="warm_start"):
-            ema_blend(s, np.zeros(2), np.zeros((2, 2)))
+            estimate(s, np.zeros((1, 2)))
+        with pytest.raises(DataError, match="warm_start"):
+            held_stats(s)
 
     def test_commit_round_trip(self):
         s = warm_ema(64, 0.9, 2)
         mu = np.array([1.0, 2.0])
-        m = np.array([[2.0, 0.5], [0.5, 5.0]])
-        s2 = ema_commit(s, mu, m)
-        assert np.array_equal(s2.mu_ema, mu)
-        assert np.array_equal(s2.m_ema, m)
-        assert s2.beta == s.beta
+        sigma = np.array([[2.0, 0.5], [0.5, 5.0]])
+        s2 = commit_estimate(s, np.zeros((1, 2)), GaussianStats(mu, sigma, 1.0))
+        assert np.array_equal(s2.mu, mu)
+        assert np.array_equal(s2.sigma, sigma)
+        assert s2.beta == 0.9
 
     def test_convexity_bound_near_one(self):
         beta = 0.9999
         s = warm_ema(65, beta, 2)
         batch = SplitMix64(66).normal_matrix(8, 2)
-        mu_b, m_b = ema_batch_moments(batch)
-        mu_g, _, _ = ema_blend(s, mu_b, m_b)
-        moved = np.linalg.norm(mu_g - s.mu_ema)
-        assert moved <= (1.0 - beta) * np.linalg.norm(mu_b - s.mu_ema) + 1e-15
+        mu_b = batch.mean(axis=0)
+        moved = np.linalg.norm(estimate(s, batch).mu - s.mu)
+        assert moved <= (1.0 - beta) * np.linalg.norm(mu_b - s.mu) + 1e-15
 
     def test_recovered_covariance_nearly_psd(self):
         s = warm_ema(67, 0.99, 4)
         for k in range(50):
             batch = SplitMix64(800 + k).normal_matrix(4, 4)
-            mu_b, m_b = ema_batch_moments(batch)
-            mu_g, m_g, sigma_g = ema_blend(s, mu_b, m_b)
-            s = ema_commit(s, mu_g, m_g)
-        w = np.linalg.eigvalsh(sigma_g)
-        assert w.min() >= -1e-8 * max(np.trace(m_g), 1.0) / 4
+            stats = estimate(s, batch)
+            s = commit_estimate(s, batch, stats)
+        w = np.linalg.eigvalsh(stats.sigma)
+        assert w.min() >= -1e-8 * max(np.trace(stats.sigma), 1.0) / 4
 
 
 class TestWarmStart:
     def test_ema_single_row(self):
         x = np.array([[3.0, -1.0]])
         s = warm_start(EmaState.empty(0.9, 2), x)
-        assert np.allclose(s.mu_ema, x[0])
-        assert np.allclose(s.m_ema, np.outer(x[0], x[0]))
-        assert s.initialized
+        held = held_stats(s)
+        assert np.allclose(held.mu, x[0])
+        assert np.allclose(held.sigma, np.zeros((2, 2)))
 
     def test_queue_exact_capacity_preserves_order(self):
         rows = SplitMix64(70).normal_matrix(5, 2)
@@ -323,14 +342,8 @@ class TestWarmStart:
             warm_start(QueueState.empty(4, 2), np.zeros((3, 2)))
 
 
-def pipeline_fd_queue(ref, q, batch):
-    return fd(ref, queue_stats_with_batch(q, batch))
-
-
-def pipeline_fd_ema(ref, s, batch):
-    mu_b, m_b = ema_batch_moments(batch)
-    mu_g, _, sigma_g = ema_blend(s, mu_b, m_b)
-    return fd(ref, GaussianStats(mu_g, sigma_g, 1.0))
+def pipeline_fd(ref, state, batch):
+    return fd(ref, estimate(state, batch))
 
 
 def reference_for(seed: int, d: int):
@@ -344,7 +357,7 @@ class TestEstimatorBackprop:
     def test_zero_gradients_pass_through(self):
         q = warm_queue(80, 8, 3)
         batch = SplitMix64(81).normal_matrix(4, 3)
-        g = estimator_backprop("queue", q, batch, np.zeros(3), np.zeros((3, 3)))
+        g = backprop(q, batch, np.zeros(3), np.zeros((3, 3)))
         assert g.shape == (4, 3)
         assert np.allclose(g, 0.0)
 
@@ -354,12 +367,10 @@ class TestEstimatorBackprop:
         ref = make_reference(GaussianStats(np.array([0.5]), np.eye(1), 1.0))
         s = warm_start(EmaState.empty(0.0, 1), np.array([[0.0]]))
         batch = np.array([[2.0]])
-        mu_b, m_b = ema_batch_moments(batch)
-        mu_g, _, sigma_g = ema_blend(s, mu_b, m_b)
-        _, grad = fd_with_grad(ref, GaussianStats(mu_g, sigma_g, 1.0))
-        g = estimator_backprop("ema", s, batch, grad.d_mu, grad.d_sigma)
+        _, grad = fd_with_grad(ref, estimate(s, batch))
+        g = backprop(s, batch, grad.d_mu, grad.d_sigma)
         finite = central_difference(
-            lambda v: pipeline_fd_ema(ref, s, v.reshape(1, 1)), batch.ravel()
+            lambda v: pipeline_fd(ref, s, v.reshape(1, 1)), batch.ravel()
         )
         assert relative_error(g.ravel(), finite) < 1e-6
         assert g.ravel()[0] == pytest.approx(2.0 * (2.0 - 0.5), rel=1e-4)
@@ -370,11 +381,10 @@ class TestEstimatorBackprop:
         ref = reference_for(900 + seed, d)
         q = warm_queue(910 + seed, 8, d)
         batch = SplitMix64(920 + seed).normal_matrix(b, d)
-        stats = queue_stats_with_batch(q, batch)
-        _, grad = fd_with_grad(ref, stats)
-        g = estimator_backprop("queue", q, batch, grad.d_mu, grad.d_sigma)
+        _, grad = fd_with_grad(ref, estimate(q, batch))
+        g = backprop(q, batch, grad.d_mu, grad.d_sigma)
         finite = central_difference(
-            lambda v: pipeline_fd_queue(ref, q, v.reshape(b, d)), batch.ravel()
+            lambda v: pipeline_fd(ref, q, v.reshape(b, d)), batch.ravel()
         )
         assert relative_error(g.ravel(), finite) < 1e-4
 
@@ -384,12 +394,10 @@ class TestEstimatorBackprop:
         ref = reference_for(930 + seed, d)
         s = warm_ema(940 + seed, 0.9, d)
         batch = SplitMix64(950 + seed).normal_matrix(b, d)
-        mu_b, m_b = ema_batch_moments(batch)
-        mu_g, _, sigma_g = ema_blend(s, mu_b, m_b)
-        _, grad = fd_with_grad(ref, GaussianStats(mu_g, sigma_g, 1.0))
-        g = estimator_backprop("ema", s, batch, grad.d_mu, grad.d_sigma)
+        _, grad = fd_with_grad(ref, estimate(s, batch))
+        g = backprop(s, batch, grad.d_mu, grad.d_sigma)
         finite = central_difference(
-            lambda v: pipeline_fd_ema(ref, s, v.reshape(b, d)), batch.ravel()
+            lambda v: pipeline_fd(ref, s, v.reshape(b, d)), batch.ravel()
         )
         assert relative_error(g.ravel(), finite) < 1e-4
 
@@ -397,17 +405,6 @@ class TestEstimatorBackprop:
         q = warm_queue(960, 16, 2)
         batch = SplitMix64(961).normal_matrix(5, 2)
         ref = reference_for(962, 2)
-        stats = queue_stats_with_batch(q, batch)
-        _, grad = fd_with_grad(ref, stats)
-        g = estimator_backprop("queue", q, batch, grad.d_mu, grad.d_sigma)
+        _, grad = fd_with_grad(ref, estimate(q, batch))
+        g = backprop(q, batch, grad.d_mu, grad.d_sigma)
         assert g.shape == batch.shape
-
-    def test_kind_state_mismatch_rejected(self):
-        q = warm_queue(970, 4, 2)
-        with pytest.raises(DataError, match="EmaState"):
-            estimator_backprop("ema", q, np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)))
-
-    def test_unknown_kind_rejected(self):
-        q = warm_queue(971, 4, 2)
-        with pytest.raises(DataError, match="kind"):
-            estimator_backprop("median", q, np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)))

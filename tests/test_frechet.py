@@ -8,8 +8,8 @@ from fdopt.errors import DataError, NonFiniteDataError
 from fdopt.frechet import (
     BLOCK_ROWS,
     GaussianStats,
+    default_grad_floor,
     fd,
-    fd_grad_stats,
     fd_with_grad,
     feature_stats,
     make_reference,
@@ -107,20 +107,20 @@ class TestFdGradStats:
         sigma = random_psd(11, 2) + 0.1 * np.eye(2)
         ref = make_reference(GaussianStats(np.zeros(2), sigma, 1.0))
         gen = GaussianStats(np.array([1.0, 0.0]), sigma.copy(), 1.0)
-        grad = fd_grad_stats(ref, gen)
+        _, grad = fd_with_grad(ref, gen)
         assert np.allclose(grad.d_mu, [2.0, 0.0], atol=1e-10)
         assert np.allclose(grad.d_sigma, np.zeros((2, 2)), atol=1e-7)
         assert not grad.degenerate
 
     def test_identical_pair_zero_gradient(self):
         ref, _ = make_pair(13, 3)
-        grad = fd_grad_stats(ref, ref.stats)
+        _, grad = fd_with_grad(ref, ref.stats)
         assert np.abs(grad.d_mu).max() < 1e-8
         assert np.abs(grad.d_sigma).max() < 1e-7
 
     def test_matches_finite_differences_8d(self):
         ref, gen = make_pair(500, 8)
-        grad = fd_grad_stats(ref, gen)
+        _, grad = fd_with_grad(ref, gen)
         fd_mu = central_difference(
             lambda mu: fd(ref, GaussianStats(mu, gen.sigma, 1.0)), gen.mu
         )
@@ -133,7 +133,7 @@ class TestFdGradStats:
     def test_degeneracy_flag(self):
         ref, _ = make_pair(17, 3)
         gen = GaussianStats(np.zeros(3), np.zeros((3, 3)), 1.0)
-        grad = fd_grad_stats(ref, gen)
+        _, grad = fd_with_grad(ref, gen)
         assert grad.degenerate
         assert np.isfinite(grad.d_sigma).all()
 
@@ -141,8 +141,8 @@ class TestFdGradStats:
         ref, gen = make_pair(19, 4)
         value, grad = fd_with_grad(ref, gen)
         assert value == pytest.approx(fd(ref, gen), rel=1e-12)
-        only = fd_grad_stats(ref, gen)
-        assert np.allclose(grad.d_sigma, only.d_sigma)
+        _, floored = fd_with_grad(ref, gen, default_grad_floor(ref))
+        assert np.array_equal(grad.d_sigma, floored.d_sigma)
 
 
 class TestStatsFromFeatures:

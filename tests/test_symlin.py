@@ -33,17 +33,6 @@ class TestEigSym:
         w, _ = eig_sym(a)
         assert (np.diff(w) >= 0).all()
 
-    def test_rejects_nonfinite(self):
-        a = np.eye(3)
-        a[1, 2] = a[2, 1] = np.nan
-        with pytest.raises(NonFiniteDataError, match=r"\[1\]\[2\]|\[2\]\[1\]"):
-            eig_sym(a)
-
-    def test_rejects_asymmetric(self):
-        a = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(DataError, match="not symmetric"):
-            eig_sym(a)
-
     def test_dim_one(self):
         w, v = eig_sym(np.array([[-2.5]]))
         assert w[0] == -2.5 and v[0, 0] == 1.0
@@ -89,6 +78,17 @@ class TestSqrtPsd:
     def test_matches_denman_beavers(self):
         a = random_psd(43, 6) + 0.1 * np.eye(6)
         assert np.linalg.norm(sqrt_psd(a) - denman_beavers_sqrt(a)) < 1e-8
+
+    def test_rejects_nonfinite(self):
+        a = np.eye(3)
+        a[1, 2] = a[2, 1] = np.nan
+        with pytest.raises(NonFiniteDataError, match=r"\[1\]\[2\]|\[2\]\[1\]"):
+            sqrt_psd(a)
+
+    def test_rejects_asymmetric(self):
+        a = np.array([[1.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(DataError, match="not symmetric"):
+            sqrt_psd(a)
 
     def test_clamp_warning_logged(self, caplog):
         a = np.diag([1.0, -0.5])

@@ -265,37 +265,27 @@ def frozen_chain(config, model, refs, states, z):
     those denominators held at their base values, which is why the raw
     distances are returned separately.
     """
-    from fdopt.estimators import (
-        ema_batch_moments,
-        ema_blend,
-        ema_effective_weight,
-        estimator_backprop,
-        queue_stats_with_batch,
-    )
-    from fdopt.frechet import GaussianStats, fd_with_grad
+    from fdopt.estimators import backprop_estimate, estimate
+    from fdopt.frechet import fd_with_grad
     from fdopt.representations import featurize_backprop
 
     x = generate(model, z)
-    fds, grads, feats = [], [], []
+    fds, grads, feats, mus = [], [], [], []
     for spec, ref, state in zip(config.ensemble.specs, refs, states):
         f = featurize(spec, x)
-        if config.estimator == "queue":
-            stats = queue_stats_with_batch(state, f)
-        else:
-            mu_b, m_b = ema_batch_moments(f)
-            mu_g, _, sigma_g = ema_blend(state, mu_b, m_b)
-            stats = GaussianStats(mu_g, sigma_g, ema_effective_weight(state.beta))
+        stats = estimate(state, f)
         value, grad = fd_with_grad(ref, stats)
         fds.append(value)
         grads.append(grad)
         feats.append(f)
+        mus.append(stats.mu)
     _, scales = ensemble_loss(config.ensemble, fds)
     sample_grads = np.zeros_like(x)
     for i, spec in enumerate(config.ensemble.specs):
-        fg = estimator_backprop(
-            config.estimator,
+        fg = backprop_estimate(
             states[i],
             feats[i],
+            mus[i],
             scales[i] * grads[i].d_mu,
             scales[i] * grads[i].d_sigma,
         )
@@ -308,16 +298,12 @@ def reference_post_train(config):
     every statistic is recomputed where the chain needs it, and every
     parameter array gets its own optimizer update."""
     from fdopt.estimators import (
-        ema_batch_moments,
-        ema_blend,
-        ema_commit,
-        ema_effective_weight,
-        estimator_backprop,
-        queue_commit,
+        backprop_estimate,
+        commit_estimate,
+        estimate,
         queue_contents,
-        queue_stats_with_batch,
     )
-    from fdopt.frechet import GaussianStats, fd_with_grad
+    from fdopt.frechet import fd_with_grad
     from fdopt.representations import featurize_backprop
     from fdopt.rng import derive_seed
     from fdopt.trainer import target_reference_rows
@@ -339,16 +325,14 @@ def reference_post_train(config):
     xw = evaluate("warm-start-noise")
     states, warm_fds = [], []
     for spec, ref in zip(specs, refs):
+        feats = featurize(spec, xw)
         if queue:
             state = warm_start(QueueState.empty(config.queue_capacity, spec.out_dim),
-                               featurize(spec, xw))
+                               feats)
             stats = stats_from_features(queue_contents(state))
         else:
-            state = warm_start(EmaState.empty(config.ema_beta, spec.out_dim),
-                               featurize(spec, xw))
-            sigma = state.m_ema - np.outer(state.mu_ema, state.mu_ema)
-            stats = GaussianStats(state.mu_ema, 0.5 * (sigma + sigma.T),
-                                  ema_effective_weight(state.beta))
+            state = warm_start(EmaState.empty(config.ema_beta, spec.out_dim), feats)
+            stats = stats_from_features(feats)
         states.append(state)
         warm_fds.append(fd(ref, stats))
     out = [record("warm_start", 0, 0.0, warm_fds)]
@@ -360,25 +344,21 @@ def reference_post_train(config):
         lr = lr_at(step, config)
         z = noise.normal_matrix(config.batch_size, config.z_dim)
         x = generate(model, z)
-        fds, grads, blends = [], [], []
+        fds, grads, estimates = [], [], []
         for spec, ref, state in zip(specs, refs, states):
-            f = featurize(spec, x)
-            if queue:
-                stats, blend = queue_stats_with_batch(state, f), None
-            else:
-                mu_g, m_g, sigma_g = ema_blend(state, *ema_batch_moments(f))
-                stats = GaussianStats(mu_g, sigma_g, ema_effective_weight(state.beta))
-                blend = (mu_g, m_g)
+            stats = estimate(state, featurize(spec, x))
             value, grad = fd_with_grad(ref, stats)
             fds.append(value)
             grads.append(grad)
-            blends.append(blend)
+            estimates.append(stats)
         _, scales = ensemble_loss(config.ensemble, fds)
         sample_grads = np.zeros_like(x)
-        for spec, state, grad, scale in zip(specs, states, grads, scales):
+        for spec, state, stats, grad, scale in zip(
+            specs, states, estimates, grads, scales
+        ):
             f = featurize(spec, x)
-            feat_grads = estimator_backprop(
-                config.estimator, state, f, scale * grad.d_mu, scale * grad.d_sigma
+            feat_grads = backprop_estimate(
+                state, f, stats.mu, scale * grad.d_mu, scale * grad.d_sigma
             )
             sample_grads += featurize_backprop(spec, x, feat_grads)
         opt, params = optimizer_step(
@@ -387,8 +367,8 @@ def reference_post_train(config):
         )
         model = model.with_params(params)
         states = [
-            queue_commit(state, featurize(spec, x)) if queue else ema_commit(state, *blend)
-            for spec, state, blend in zip(specs, states, blends)
+            commit_estimate(state, featurize(spec, x), stats)
+            for spec, state, stats in zip(specs, states, estimates)
         ]
         out.append(record("train", step, lr, fds))
 
@@ -561,6 +541,11 @@ class TestPostTrain:
     def test_estimator_rejects_bad_kind(self):
         with pytest.raises(ConfigError, match="estimator"):
             self.small_config(estimator="welford")
+
+    def test_queue_capacity_below_batch_rejected(self):
+        # a commit writes B rows into the ring, so the ring must hold them
+        with pytest.raises(ConfigError, match="capacity"):
+            self.small_config(estimator="queue", queue_capacity=3, batch_size=4)
 
     def test_ensemble_dim_must_match_generator(self):
         with pytest.raises(ConfigError, match="in_dim"):
