@@ -241,7 +241,7 @@ def estimate(state, batch: np.ndarray) -> GaussianStats:
     sigma /= b
     sigma *= 1.0 - a
     mu, sigma = merge_moments(mu_b, sigma, state.mu, a * state.sigma, a, a * (1.0 - a))
-    return GaussianStats.trusted(mu, 0.5 * (sigma + sigma.T), weight)
+    return GaussianStats.unchecked(mu, 0.5 * (sigma + sigma.T), weight)
 
 
 def backprop_estimate(

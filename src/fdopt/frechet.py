@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NonFiniteDataError, NumericalError
-from .representations import RepresentationSpec, feature_map
+from .representations import RepresentationSpec, featurize
 from .symlin import check_symmetric, congruence_eig, sqrt_psd
 
 log = logging.getLogger("fdopt.frechet")
@@ -74,7 +74,7 @@ class GaussianStats:
         object.__setattr__(self, "weight", float(self.weight))
 
     @classmethod
-    def trusted(cls, mu: np.ndarray, sigma: np.ndarray, weight: float):
+    def unchecked(cls, mu: np.ndarray, sigma: np.ndarray, weight: float):
         """Wrap float64 moments the caller built finite and exactly symmetric,
         without checking them again."""
         stats = object.__new__(cls)
@@ -147,7 +147,7 @@ def feature_stats(spec: RepresentationSpec, samples: np.ndarray) -> GaussianStat
         raise DataError(
             f"samples must be n x {spec.in_dim} for {spec.kind}, got {samples.shape}"
         )
-    blocks = (feature_map(spec, block) for block in _row_blocks(samples))
+    blocks = (featurize(spec, block) for block in _row_blocks(samples))
     stats = _stats(*_scatter(blocks, owned=True))
     # a feature map can overflow on finite samples
     return GaussianStats(stats.mu, stats.sigma, stats.weight)
@@ -210,7 +210,7 @@ def merge_moments(mu_a, s_a, mu_b, s_b, frac_b: float, cross: float):
 
 def _stats(n: int, mu: np.ndarray, scatter: np.ndarray) -> GaussianStats:
     sigma = scatter / n
-    return GaussianStats.trusted(mu, 0.5 * (sigma + sigma.T), float(n))
+    return GaussianStats.unchecked(mu, 0.5 * (sigma + sigma.T), float(n))
 
 
 def fd(ref: ReferenceStats, gen: GaussianStats) -> float:
@@ -258,23 +258,16 @@ class FdGradient:
     degenerate: bool = field(default=False)
 
 
-def default_grad_floor(ref: ReferenceStats) -> float:
-    return 1e-10 * max(ref.trace, 0.0) / ref.dim
-
-
-def fd_with_grad(
-    ref: ReferenceStats, gen: GaussianStats, eps_floor: float | None = None
-):
+def fd_with_grad(ref: ReferenceStats, gen: GaussianStats):
     """fd value and closed-form gradient from a single eigendecomposition:
     d_mu = 2 (mu_g - mu_r), d_sigma = I - R C^{-1/2} R with C = R sigma_g R
-    floored at eps_floor."""
-    if eps_floor is None:
-        eps_floor = default_grad_floor(ref)
+    and its spectrum floored at 1e-10 Tr(sigma_r) / d."""
+    floor = 1e-10 * max(ref.trace, 0.0) / ref.dim
     value, w, v = _value(ref, gen)
-    degenerate = bool(w.min() < eps_floor)
+    degenerate = bool(w.min() < floor)
     # tiny absolute floor keeps the inverse root finite even for a zero-trace
     # reference
-    floored = np.maximum(w, max(eps_floor, 1e-300))
+    floored = np.maximum(w, max(floor, 1e-300))
     inv_root = (v / np.sqrt(floored)) @ v.T
     root = ref.sigma_root
     # I - R C^{-1/2} R, with the identity added on the diagonal in place

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DataError, NonFiniteDataError
+from .errors import DataError
 from .rng import SplitMix64, derive_seed
 
 __all__ = [
@@ -102,23 +102,9 @@ def rep_params(spec: RepresentationSpec) -> tuple[np.ndarray, np.ndarray]:
     return w.copy(), b.copy()
 
 
-def _check_samples(spec: RepresentationSpec, samples: np.ndarray) -> np.ndarray:
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[1] != spec.in_dim:
-        raise DataError(
-            f"samples must be B x {spec.in_dim} for {spec.kind}, got {samples.shape}"
-        )
-    if not np.isfinite(samples).all():
-        raise NonFiniteDataError("samples contain non-finite entries")
-    return samples
-
-
 def featurize(spec: RepresentationSpec, samples: np.ndarray) -> np.ndarray:
-    return feature_map(spec, _check_samples(spec, samples))
-
-
-def feature_map(spec: RepresentationSpec, samples: np.ndarray) -> np.ndarray:
-    """featurize for a float64 B x in_dim matrix the caller has checked."""
+    """Features of a finite float64 B x in_dim matrix, which the caller has
+    checked (feature_stats is the checked entry)."""
     if spec.kind == "identity":
         return samples.copy()
     if spec.kind == "quadratic":
@@ -133,28 +119,13 @@ def feature_map(spec: RepresentationSpec, samples: np.ndarray) -> np.ndarray:
 
 
 def featurize_backprop(
-    spec: RepresentationSpec, samples: np.ndarray, feature_grads: np.ndarray
-) -> np.ndarray:
-    """Backprop of featurize at `samples`: feature gradients to sample gradients."""
-    samples = _check_samples(spec, samples)
-    feature_grads = np.asarray(feature_grads, dtype=np.float64)
-    if feature_grads.shape != (samples.shape[0], spec.out_dim):
-        raise DataError(
-            f"feature_grads must be {samples.shape[0]} x {spec.out_dim}, "
-            f"got {feature_grads.shape}"
-        )
-    return feature_map_backprop(
-        spec, samples, feature_map(spec, samples), feature_grads
-    )
-
-
-def feature_map_backprop(
     spec: RepresentationSpec,
     samples: np.ndarray,
     features: np.ndarray,
     feature_grads: np.ndarray,
 ) -> np.ndarray:
-    """featurize_backprop on checked inputs, reusing the forward's features."""
+    """Backprop of featurize at `samples`, whose forward gave `features`:
+    B x out_dim feature gradients to B x in_dim sample gradients."""
     if spec.kind == "identity":
         return feature_grads.copy()
     if spec.kind == "quadratic":

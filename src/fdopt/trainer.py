@@ -48,9 +48,8 @@ from .metrics import rep_labels
 from .representations import (
     RepresentationEnsemble,
     ensemble_loss,
-    feature_map,
-    feature_map_backprop,
     featurize,
+    featurize_backprop,
 )
 from .rng import SplitMix64, derive_seed
 from .symlin import check_symmetric, eig_sym, psd_root
@@ -80,41 +79,61 @@ __all__ = [
 # generator
 
 
-@dataclass(frozen=True, eq=False)
 class GeneratorModel:
     """Feed-forward net, tanh hidden layers, identity output layer.
 
-    weights[l] is out x in; forward computes x @ W^T + b per layer.
+    The parameters are one flat vector theta, laid out W0, b0, W1, b1, ...;
+    weights[l] (out x in) and biases[l] are views into it, and the forward
+    computes x @ W^T + b per layer. Training builds a new theta at each
+    update and never writes into a model's vector.
     """
 
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if not self.weights or len(self.weights) != len(self.biases):
+    def __init__(self, weights, biases):
+        if not weights or len(weights) != len(biases):
             raise DataError("model needs matching, nonempty weight/bias tuples")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or b.shape != (w.shape[0],):
                 raise DataError(f"layer {i}: W {w.shape} incompatible with b {b.shape}")
-            if i and w.shape[1] != self.weights[i - 1].shape[0]:
+            if i and w.shape[1] != weights[i - 1].shape[0]:
                 raise DataError(
                     f"layer {i} expects {w.shape[1]} inputs but layer {i - 1} "
-                    f"produces {self.weights[i - 1].shape[0]}"
+                    f"produces {weights[i - 1].shape[0]}"
                 )
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise NonFiniteDataError(f"layer {i} has non-finite parameters")
+        dims = (weights[0].shape[1],) + tuple(w.shape[0] for w in weights)
+        theta = np.concatenate(
+            [np.ravel(a) for layer in zip(weights, biases) for a in layer]
+        ).astype(np.float64, copy=False)
+        self._view(dims, theta)
 
-    @property
-    def layer_dims(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
+    @classmethod
+    def unchecked(cls, layer_dims: tuple[int, ...], theta: np.ndarray) -> "GeneratorModel":
+        """The model whose layers view theta, a finite float64 vector laid out
+        as above for layer_dims, without checking it again."""
+        model = object.__new__(cls)
+        model._view(layer_dims, theta)
+        return model
+
+    def _view(self, layer_dims: tuple[int, ...], theta: np.ndarray) -> None:
+        weights, biases, pos = [], [], 0
+        for fan_in, fan_out in zip(layer_dims, layer_dims[1:]):
+            weights.append(theta[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
+            pos += fan_out * fan_in
+            biases.append(theta[pos : pos + fan_out])
+            pos += fan_out
+        self.layer_dims = layer_dims
+        self.theta = theta
+        self.weights = tuple(weights)
+        self.biases = tuple(biases)
 
     @property
     def z_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.layer_dims[0]
 
     @property
     def out_dim(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.layer_dims[-1]
 
     @classmethod
     def init(cls, layer_dims, seed: int) -> "GeneratorModel":
@@ -123,35 +142,12 @@ class GeneratorModel:
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise DataError(f"layer_dims must list >= 2 positive dims, got {dims}")
         stream = SplitMix64(derive_seed("generator-init", seed, *dims))
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims, dims[1:]):
-            weights.append(stream.normal_matrix(fan_out, fan_in) / math.sqrt(fan_in))
-            biases.append(np.zeros(fan_out))
-        return cls(weights=tuple(weights), biases=tuple(biases))
-
-    @classmethod
-    def trusted(cls, weights: tuple, biases: tuple) -> "GeneratorModel":
-        """Wrap finite, shape-consistent layers without checking them again."""
-        model = object.__new__(cls)
-        object.__setattr__(model, "weights", weights)
-        object.__setattr__(model, "biases", biases)
+        size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+        model = cls.unchecked(dims, np.zeros(size))
+        for w in model.weights:
+            fan_out, fan_in = w.shape
+            w[...] = stream.normal_matrix(fan_out, fan_in) / math.sqrt(fan_in)
         return model
-
-    def params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def with_params(self, params) -> "GeneratorModel":
-        if len(params) != 2 * len(self.weights):
-            raise DataError(
-                f"expected {2 * len(self.weights)} parameter arrays, got {len(params)}"
-            )
-        return GeneratorModel(
-            weights=tuple(params[0::2]), biases=tuple(params[1::2])
-        )
 
 
 def _forward(model: GeneratorModel, z: np.ndarray) -> list[np.ndarray]:
@@ -162,23 +158,6 @@ def _forward(model: GeneratorModel, z: np.ndarray) -> list[np.ndarray]:
         pre = acts[-1] @ w.T + b
         acts.append(pre if i == last else np.tanh(pre))
     return acts
-
-
-def _backprop(
-    model: GeneratorModel, acts: list[np.ndarray], sample_grads: np.ndarray
-) -> list[np.ndarray]:
-    """Parameter gradients, ordered as model.params(), from the activations
-    of the forward that produced the samples."""
-    grads: list[np.ndarray] = [None] * (2 * len(model.weights))
-    delta = sample_grads  # gradient w.r.t. the layer pre-activation
-    for l in range(len(model.weights) - 1, -1, -1):
-        grads[2 * l] = delta.T @ acts[l]
-        grads[2 * l + 1] = delta.sum(axis=0)
-        if l:
-            upstream = delta @ model.weights[l]
-            hidden = acts[l]  # tanh output of layer l-1..; derivative 1 - a^2
-            delta = upstream * (1.0 - hidden * hidden)
-    return grads
 
 
 def _check_z(model: GeneratorModel, z: np.ndarray) -> np.ndarray:
@@ -230,104 +209,79 @@ def _generate_blocks(model: GeneratorModel, z_blocks, n: int) -> np.ndarray:
 
 
 def generator_backprop(
-    model: GeneratorModel, z: np.ndarray, sample_grads: np.ndarray
-) -> list[np.ndarray]:
-    """Reverse-mode parameter gradients, ordered as model.params()."""
-    z = _check_z(model, z)
-    sample_grads = np.asarray(sample_grads, dtype=np.float64)
-    if sample_grads.shape != (z.shape[0], model.out_dim):
-        raise DataError(
-            f"sample_grads must be {z.shape[0]} x {model.out_dim}, "
-            f"got {sample_grads.shape}"
-        )
-    return _backprop(model, _forward(model, z), sample_grads)
+    model: GeneratorModel, acts: list[np.ndarray], sample_grads: np.ndarray
+) -> np.ndarray:
+    """Parameter gradients, one vector laid out as model.theta, from the
+    activations of the _forward that produced the samples and the gradient
+    of a scalar with respect to those samples."""
+    grads = np.empty_like(model.theta)
+    layers = GeneratorModel.unchecked(model.layer_dims, grads)
+    delta = sample_grads  # gradient w.r.t. the layer pre-activation
+    for l in range(len(model.weights) - 1, -1, -1):
+        np.matmul(delta.T, acts[l], out=layers.weights[l])
+        delta.sum(axis=0, out=layers.biases[l])
+        if l:
+            upstream = delta @ model.weights[l]
+            hidden = acts[l]  # tanh output of layer l-1..; derivative 1 - a^2
+            delta = upstream * (1.0 - hidden * hidden)
+    return grads
 
 
 # ---------------------------------------------------------------------------
 # optimizer and schedule
 
 
-def _flat(arrays) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-def _split(flat: np.ndarray, like) -> list[np.ndarray]:
-    out, pos = [], 0
-    for a in like:
-        out.append(flat[pos : pos + a.size].reshape(a.shape))
-        pos += a.size
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class OptState:
-    """Adaptive-moment accumulators over the flat parameter vector (laid out
-    as params()); step counts completed updates."""
+    """Adaptive-moment accumulators over the flat parameter vector; step
+    counts completed updates."""
 
     step: int
     m: np.ndarray
     v: np.ndarray
 
     @classmethod
-    def empty(cls, params) -> "OptState":
-        size = sum(p.size for p in params)
+    def empty(cls, size: int) -> "OptState":
         return cls(step=0, m=np.zeros(size), v=np.zeros(size))
-
-
-def _adamw(opt: OptState, p, g, lr: float, beta1, beta2, weight_decay, eps):
-    """One decoupled-weight-decay adaptive-moment update of a flat vector."""
-    t = opt.step + 1
-    m = beta1 * opt.m + (1.0 - beta1) * g
-    v = beta2 * opt.v + (1.0 - beta2) * g * g
-    update = (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
-    return OptState(step=t, m=m, v=v), p - lr * update - lr * weight_decay * p
 
 
 def optimizer_step(
     opt: OptState,
-    params,
-    grads,
+    theta: np.ndarray,
+    grads: np.ndarray,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.95,
-    weight_decay: float = 0.0,
-    eps: float = ADAM_EPS,
-):
-    """Decoupled-weight-decay adaptive-moment update with bias correction."""
-    if len(params) != len(grads) or sum(p.size for p in params) != opt.m.size:
-        raise DataError("params/grads/state length mismatch")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise DataError(f"grad shape {g.shape} does not match param {p.shape}")
-    opt, flat = _adamw(
-        opt, _flat(params), _flat(grads), lr, beta1, beta2, weight_decay, eps
-    )
-    return opt, _split(flat, params)
+    beta1: float,
+    beta2: float,
+    weight_decay: float,
+) -> tuple[OptState, np.ndarray]:
+    """One decoupled-weight-decay adaptive-moment update with bias
+    correction; returns the new state and a new parameter vector."""
+    t = opt.step + 1
+    m = beta1 * opt.m + (1.0 - beta1) * grads
+    v = beta2 * opt.v + (1.0 - beta2) * grads * grads
+    update = (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + ADAM_EPS)
+    return OptState(step=t, m=m, v=v), theta - lr * update - lr * weight_decay * theta
 
 
 class _Fit:
     """A generator under AdamW, shared by post_train and pretrain_regression.
 
-    The model's layers view one flat parameter vector (laid out as params());
-    each update makes a new vector, so the previous model stays intact.
+    Each update makes a new parameter vector, so the previous model stays
+    intact.
     """
 
     def __init__(self, model: GeneratorModel, beta1: float, beta2: float, decay: float):
         self.model = model
-        self.layout = model.params()
-        self.theta = _flat(self.layout)
-        self.opt = OptState.empty(self.layout)
-        self.hyper = (beta1, beta2, decay, ADAM_EPS)
+        self.opt = OptState.empty(model.theta.size)
+        self.hyper = (beta1, beta2, decay)
 
     def update(self, acts, sample_grads: np.ndarray, lr: float, step: int) -> None:
         """Backprop through the forward's activations, then one AdamW step."""
-        grads = _flat(_backprop(self.model, acts, sample_grads))
-        self.opt, theta = _adamw(self.opt, self.theta, grads, lr, *self.hyper)
+        grads = generator_backprop(self.model, acts, sample_grads)
+        self.opt, theta = optimizer_step(self.opt, self.model.theta, grads, lr, *self.hyper)
         if not np.isfinite(theta).all():
             raise NonFiniteLossError(step, "parameters", last_good_model=self.model)
-        self.theta = theta
-        layers = _split(theta, self.layout)
-        self.model = GeneratorModel.trusted(tuple(layers[0::2]), tuple(layers[1::2]))
+        self.model = GeneratorModel.unchecked(self.model.layer_dims, theta)
 
 
 def lr_at(step: int, config: "TrainConfig") -> float:
@@ -493,6 +447,13 @@ class TrainConfig:
             )
         if not (self.peak_lr > 0):
             raise ConfigError(f"peak_lr must be > 0, got {self.peak_lr}")
+        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not (0.0 <= beta < 1.0):
+                raise ConfigError(f"{name} must lie in [0, 1), got {beta}")
+        if not (0.0 <= self.weight_decay < math.inf):
+            raise ConfigError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
+            )
         if self.estimator not in ("queue", "ema"):
             raise ConfigError(f"estimator must be queue or ema, got {self.estimator}")
         if not (0.0 <= self.ema_beta < 1.0):
@@ -502,6 +463,13 @@ class TrainConfig:
                 f"queue capacity {self.queue_capacity} below batch size "
                 f"{self.batch_size}"
             )
+        if self.warm_start_count is not None:
+            # a queue warm start fills the whole ring
+            floor = self.queue_capacity if self.estimator == "queue" else 1
+            if self.warm_start_count < floor:
+                raise ConfigError(
+                    f"warm_start_count must be >= {floor}, got {self.warm_start_count}"
+                )
         if self.ensemble.in_dim != self.out_dim:
             raise ConfigError(
                 f"representations expect in_dim {self.ensemble.in_dim} but the "
@@ -610,7 +578,7 @@ def post_train(
 
     warm_stream = SplitMix64(derive_seed("warm-start-noise", config.seed))
     zw = warm_stream.normal_matrix(config.effective_warm_start, config.z_dim)
-    xw = generate(model, zw)
+    xw = check_rows(generate(model, zw), "generated samples")
     for i, spec in enumerate(config.ensemble.specs):
         states[i] = warm_start(states[i], featurize(spec, xw))
     warm_fds = [fd(ref, held_stats(state)) for ref, state in zip(refs, states)]
@@ -633,7 +601,7 @@ def post_train(
             raise NonFiniteLossError(step, "samples", last_good_model=fit.model)
         fds, grads, stats, feats = [], [], [], []
         for (spec, ref, label), state in zip(reps, states):
-            f = feature_map(spec, x)
+            f = featurize(spec, x)
             s = estimate(state, f)
             # the covariance is finite only if the features and their
             # squares are, so one scan covers the batch and its moments
@@ -658,7 +626,7 @@ def post_train(
                 scales[i] * grads[i].d_mu,
                 scales[i] * grads[i].d_sigma,
             )
-            sample_grads += feature_map_backprop(spec, x, feats[i], feat_grads)
+            sample_grads += featurize_backprop(spec, x, feats[i], feat_grads)
         fit.update(acts, sample_grads, lr, step)
         states = [commit_estimate(*args) for args in zip(states, feats, stats)]
         log.records.append(TrainRecord("train", step, lr, loss, tuple(fds)))

@@ -47,6 +47,7 @@ from fdopt.rng import SplitMix64
 from fdopt.symlin import sqrt_psd, trace_sqrt_product
 from fdopt.trainer import (
     GeneratorModel,
+    _forward,
     generate,
     generator_backprop,
     post_train,
@@ -208,7 +209,7 @@ def test_gradient_suite(criterion):
             def scalar(flat):
                 return float(np.sum(weights * featurize(spec, flat.reshape(B, in_dim))))
 
-            got = featurize_backprop(spec, samples, weights)
+            got = featurize_backprop(spec, samples, featurize(spec, samples), weights)
             num = central_difference(scalar, samples.ravel()).reshape(B, in_dim)
             assert relative_error(got, num) < 1e-4, (kind, i)
 
@@ -221,16 +222,11 @@ def test_gradient_suite(criterion):
             out_weights = rng.normal(size=(B, 2))
 
             def scalar_params(flat):
-                probe = model.with_params(_unflatten(model, flat))
+                probe = GeneratorModel.unchecked(model.layer_dims, flat)
                 return float(np.sum(out_weights * generate(probe, z)))
 
-            got = np.concatenate(
-                [
-                    g.ravel()
-                    for g in generator_backprop(model, z, out_weights)
-                ]
-            )
-            num = central_difference(scalar_params, _flatten(model))
+            got = generator_backprop(model, _forward(model, z), out_weights)
+            num = central_difference(scalar_params, model.theta)
             assert relative_error(got, num) < 1e-4, i
 
         # assembled chain: z -> generator -> features -> estimator -> loss
@@ -238,18 +234,6 @@ def test_gradient_suite(criterion):
             _check_end_to_end_instance(7000 + i)
 
         assert time.perf_counter() - start < 60.0
-
-
-def _flatten(model):
-    return np.concatenate([p.ravel() for p in model.params()])
-
-
-def _unflatten(model, flat):
-    out, pos = [], 0
-    for p in model.params():
-        out.append(flat[pos : pos + p.size].reshape(p.shape))
-        pos += p.size
-    return out
 
 
 def _check_end_to_end_instance(seed: int) -> None:
@@ -291,17 +275,17 @@ def _check_end_to_end_instance(seed: int) -> None:
         stats = estimate(state, feats)
         _, grad = fd_with_grad(ref, stats)
         feat_grads = backprop_estimate(state, feats, stats.mu, grad.d_mu, grad.d_sigma)
-        sample_grads += scale * featurize_backprop(spec, samples, feat_grads)
-    got = np.concatenate([g.ravel() for g in generator_backprop(model, z, sample_grads)])
+        sample_grads += scale * featurize_backprop(spec, samples, feats, feat_grads)
+    got = generator_backprop(model, _forward(model, z), sample_grads)
 
     # probe the loss with the stop-gradient denominators held at base values
     denominators = base_fds + ensemble.c
 
     def frozen_loss(flat):
-        fds = per_rep_fds(model.with_params(_unflatten(model, flat)))
+        fds = per_rep_fds(GeneratorModel.unchecked(model.layer_dims, flat))
         return float(np.sum(np.asarray(ensemble.weights) * fds / denominators))
 
-    num = central_difference(frozen_loss, _flatten(model))
+    num = central_difference(frozen_loss, model.theta)
     assert relative_error(got, num) < 1e-4, seed
 
 

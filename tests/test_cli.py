@@ -439,6 +439,21 @@ class TestPipeline:
         for p in (*weights, *biases):
             assert np.isfinite(p).all()
 
+    def test_beta2_of_one_is_a_config_error(self, workspace, capsys):
+        # beta2 = 1 zeroes the bias correction, so training would divide by 0
+        bad = workspace / "bad.cfg"
+        bad.write_text(
+            CONFIG_TEXT.replace("peak_lr = 0.001", "peak_lr = 0.001\nbeta2 = 1"),
+            encoding="utf-8",
+        )
+        code = cli_dispatch(
+            ["train", "--config", str(bad), "--out", path(workspace, "m.ckpt")]
+        )
+        assert code == 2
+        assert "beta2" in capsys.readouterr().err
+        assert not (workspace / "m.ckpt").exists()
+        assert not (workspace / "m.ckpt.last_good").exists()
+
 
 QUEUE_64D_CONFIG = (
     CONFIG_TEXT.replace("total_steps = 25", "total_steps = 6")

@@ -227,6 +227,39 @@ class TestBuild:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "edits, field",
+        [
+            ({"beta1 = 0.9": "beta1 = 1.0"}, "beta1"),
+            ({"beta1 = 0.9": "beta1 = 1.5"}, "beta1"),
+            ({"beta1 = 0.9": "beta1 = -0.1"}, "beta1"),
+            ({"beta2 = 0.99": "beta2 = 1"}, "beta2"),
+            ({"beta2 = 0.99": "beta2 = nan"}, "beta2"),
+            ({"weight_decay = 0.01": "weight_decay = -5"}, "weight_decay"),
+            ({"weight_decay = 0.01": "weight_decay = inf"}, "weight_decay"),
+            ({"weight_decay = 0.01": "weight_decay = nan"}, "weight_decay"),
+            (
+                {"kind = queue": "kind = ema", "seed = 3": "seed = 3\nwarm_start_count = 0"},
+                "warm_start_count",
+            ),
+            # a queue warm start fills the whole 256-row ring
+            ({"seed = 3": "seed = 3\nwarm_start_count = 255"}, "warm_start_count"),
+        ],
+    )
+    def test_out_of_range_values_name_their_field(self, edits, field):
+        text = FULL_TEXT
+        for old, new in edits.items():
+            text = text.replace(old, new, 1)
+        with pytest.raises(ConfigError, match=field):
+            build_config(parse_config(text))
+
+    def test_range_edges_accepted(self):
+        text = FULL_TEXT.replace("beta1 = 0.9", "beta1 = 0").replace(
+            "weight_decay = 0.01", "weight_decay = 0"
+        ).replace("seed = 3", "seed = 3\nwarm_start_count = 256", 1)
+        train = build_config(parse_config(text)).train
+        assert (train.beta1, train.weight_decay, train.warm_start_count) == (0.0, 0.0, 256)
+
     def test_load_from_path(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(FULL_TEXT, encoding="utf-8")

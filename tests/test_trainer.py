@@ -16,6 +16,7 @@ from fdopt.trainer import (
     OptState,
     TargetSpec,
     TrainConfig,
+    _forward,
     generate,
     generator_backprop,
     lr_at,
@@ -68,8 +69,6 @@ class TestGeneratorModel:
         assert relative_error(generate(model, z), want) < 1e-12
 
     def test_blocked_generate_equals_one_forward(self):
-        from fdopt.trainer import _forward
-
         model = GeneratorModel.init([8, 64, 64, 2], seed=3)
         z = SplitMix64(4).normal_matrix(32 * BLOCK_ROWS, 8)
         assert generate(model, z).tobytes() == _forward(model, z)[-1].tobytes()
@@ -80,8 +79,7 @@ class TestGeneratorModel:
     def test_init_deterministic(self):
         a = GeneratorModel.init([4, 8, 2], seed=7)
         b = GeneratorModel.init([4, 8, 2], seed=7)
-        for wa, wb in zip(a.params(), b.params()):
-            assert wa.tobytes() == wb.tobytes()
+        assert a.theta.tobytes() == b.theta.tobytes()
 
     def test_init_scales_with_fan_in(self):
         model = GeneratorModel.init([100, 50, 2], seed=1)
@@ -92,6 +90,17 @@ class TestGeneratorModel:
         model = GeneratorModel.init([3, 4, 2], seed=0)
         with pytest.raises(DataError, match="B x 3"):
             generate(model, np.zeros((2, 2)))
+
+    def test_layers_view_one_vector(self):
+        w0, b0 = np.arange(6.0).reshape(2, 3), np.array([6.0, 7.0])
+        w1, b1 = np.array([[8.0, 9.0]]), np.array([10.0])
+        model = GeneratorModel(weights=(w0, w1), biases=(b0, b1))
+        assert model.theta.tolist() == [float(i) for i in range(11)]
+        assert model.layer_dims == (3, 2, 1)
+        for view in (*model.weights, *model.biases):
+            assert np.shares_memory(view, model.theta)
+        # the checked constructor copies, so the caller's arrays stay apart
+        assert not np.shares_memory(model.theta, w0)
 
     def test_layer_dims(self):
         model = GeneratorModel.init([8, 64, 64, 2], seed=0)
@@ -104,77 +113,60 @@ class TestGeneratorBackprop:
     def test_zero_grads(self):
         model = GeneratorModel.init([3, 4, 2], seed=5)
         z = SplitMix64(6).normal_matrix(4, 3)
-        grads = generator_backprop(model, z, np.zeros((4, 2)))
-        assert all(np.allclose(g, 0.0) for g in grads)
+        grads = generator_backprop(model, _forward(model, z), np.zeros((4, 2)))
+        assert grads.shape == model.theta.shape
+        assert np.allclose(grads, 0.0)
 
     def test_linear_layer_outer_product(self):
         model = GeneratorModel(weights=(np.zeros((2, 3)),), biases=(np.zeros(2),))
         z = np.array([[1.0, 2.0, 3.0]])
         g = np.array([[4.0, 5.0]])
-        dw, db = generator_backprop(model, z, g)
-        assert np.allclose(dw, np.outer(g[0], z[0]))
-        assert np.allclose(db, g[0])
+        grads = generator_backprop(model, _forward(model, z), g)
+        assert np.allclose(grads[:6].reshape(2, 3), np.outer(g[0], z[0]))
+        assert np.allclose(grads[6:], g[0])
 
     def test_matches_finite_differences(self):
         model = GeneratorModel.init([3, 5, 4, 2], seed=21)
         z = SplitMix64(22).normal_matrix(6, 3)
         probe = SplitMix64(23).normal_matrix(6, 2)
-        grads = generator_backprop(model, z, probe)
-        params = model.params()
+        analytic = generator_backprop(model, _forward(model, z), probe)
 
         def loss_of(flat):
-            arrays, pos = [], 0
-            for p in params:
-                arrays.append(flat[pos : pos + p.size].reshape(p.shape))
-                pos += p.size
-            out = generate(model.with_params(arrays), z)
+            out = generate(GeneratorModel.unchecked(model.layer_dims, flat), z)
             return float(np.sum(out * probe))
 
-        flat0 = np.concatenate([p.ravel() for p in params])
-        finite = central_difference(loss_of, flat0, step=1e-5)
-        analytic = np.concatenate([g.ravel() for g in grads])
+        finite = central_difference(loss_of, model.theta, step=1e-5)
         assert relative_error(analytic, finite) < 1e-4
-
-    def test_shape_mismatch(self):
-        model = GeneratorModel.init([3, 4, 2], seed=0)
-        with pytest.raises(DataError, match="sample_grads"):
-            generator_backprop(model, np.zeros((4, 3)), np.zeros((4, 3)))
 
 
 class TestOptimizerStep:
     def test_zero_grads_leave_params(self):
-        params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-        opt = OptState.empty(params)
-        opt, new = optimizer_step(opt, params, [np.zeros(2), np.zeros((1, 1))], 0.1)
-        assert np.array_equal(new[0], params[0])
-        assert np.array_equal(new[1], params[1])
+        theta = np.array([1.0, -2.0, 3.0])
+        opt, new = optimizer_step(OptState.empty(3), theta, np.zeros(3), 0.1, 0.9, 0.95, 0.0)
+        assert np.array_equal(new, theta)
         assert opt.step == 1
 
     def test_first_step_closed_form(self):
-        params = [np.array([0.0])]
-        opt = OptState.empty(params)
-        _, new = optimizer_step(opt, params, [np.array([1.0])], lr=0.5)
-        assert new[0][0] == pytest.approx(-0.5 / (1.0 + 1e-8), rel=1e-12)
+        _, new = optimizer_step(
+            OptState.empty(1), np.array([0.0]), np.array([1.0]), 0.5, 0.9, 0.95, 0.0
+        )
+        assert new[0] == pytest.approx(-0.5 / (1.0 + 1e-8), rel=1e-12)
 
     def test_ten_step_scalar_replay(self):
         grads = SplitMix64(31).normals(10)
         lr, b1, b2, wd = 0.07, 0.9, 0.95, 0.01
         want = adam_scalar_replay(grads, lr, b1, b2, 1e-8, wd, x0=0.3)
-        params = [np.array([0.3])]
-        opt = OptState.empty(params)
+        theta = np.array([0.3])
+        opt = OptState.empty(1)
         for g in grads:
-            opt, params = optimizer_step(
-                opt, params, [np.array([g])], lr, beta1=b1, beta2=b2, weight_decay=wd
-            )
-        assert params[0][0] == pytest.approx(want, rel=1e-12)
+            opt, theta = optimizer_step(opt, theta, np.array([g]), lr, b1, b2, wd)
+        assert theta[0] == pytest.approx(want, rel=1e-12)
 
     def test_decay_shrinks_parameters(self):
-        params = [np.array([10.0])]
-        opt = OptState.empty(params)
         _, new = optimizer_step(
-            opt, params, [np.array([0.0])], lr=0.1, weight_decay=0.5
+            OptState.empty(1), np.array([10.0]), np.array([0.0]), 0.1, 0.9, 0.95, 0.5
         )
-        assert new[0][0] == pytest.approx(10.0 - 0.1 * 0.5 * 10.0)
+        assert new[0] == pytest.approx(10.0 - 0.1 * 0.5 * 10.0)
 
 
 class TestLrSchedule:
@@ -289,14 +281,13 @@ def frozen_chain(config, model, refs, states, z):
             scales[i] * grads[i].d_mu,
             scales[i] * grads[i].d_sigma,
         )
-        sample_grads += featurize_backprop(spec, x, fg)
-    return np.array(fds), generator_backprop(model, z, sample_grads)
+        sample_grads += featurize_backprop(spec, x, feats[i], fg)
+    return np.array(fds), generator_backprop(model, _forward(model, z), sample_grads)
 
 
 def reference_post_train(config):
-    """post_train assembled only from the public, input-checking functions:
-    every statistic is recomputed where the chain needs it, and every
-    parameter array gets its own optimizer update."""
+    """post_train assembled only from the public layer functions: every
+    sample, feature and statistic is recomputed where the chain needs it."""
     from fdopt.estimators import (
         backprop_estimate,
         commit_estimate,
@@ -337,8 +328,7 @@ def reference_post_train(config):
         warm_fds.append(fd(ref, stats))
     out = [record("warm_start", 0, 0.0, warm_fds)]
 
-    params = model.params()
-    opt = OptState.empty(params)
+    opt = OptState.empty(model.theta.size)
     noise = SplitMix64(derive_seed("train-noise", config.seed))
     for step in range(config.total_steps):
         lr = lr_at(step, config)
@@ -356,16 +346,16 @@ def reference_post_train(config):
         for spec, state, stats, grad, scale in zip(
             specs, states, estimates, grads, scales
         ):
-            f = featurize(spec, x)
             feat_grads = backprop_estimate(
-                state, f, stats.mu, scale * grad.d_mu, scale * grad.d_sigma
+                state, featurize(spec, x), stats.mu, scale * grad.d_mu,
+                scale * grad.d_sigma,
             )
-            sample_grads += featurize_backprop(spec, x, feat_grads)
-        opt, params = optimizer_step(
-            opt, params, generator_backprop(model, z, sample_grads), lr,
-            beta1=config.beta1, beta2=config.beta2, weight_decay=config.weight_decay,
+            sample_grads += featurize_backprop(spec, x, featurize(spec, x), feat_grads)
+        opt, theta = optimizer_step(
+            opt, model.theta, generator_backprop(model, _forward(model, z), sample_grads),
+            lr, config.beta1, config.beta2, config.weight_decay,
         )
-        model = model.with_params(params)
+        model = GeneratorModel.unchecked(model.layer_dims, theta)
         states = [
             commit_estimate(state, featurize(spec, x), stats)
             for spec, state, stats in zip(specs, states, estimates)
@@ -407,10 +397,17 @@ class TestPostTrain:
         cfg = self.small_config(total_steps=0, warmup_steps=0)
         initial = GeneratorModel.init(cfg.layer_dims, cfg.seed)
         model, log = post_train(cfg, initial_model=initial)
-        for a, b in zip(model.params(), initial.params()):
-            assert a.tobytes() == b.tobytes()
+        assert model.theta.tobytes() == initial.theta.tobytes()
         assert len(log.records) == 1
         assert log.records[0].phase == "warm_start"
+
+    def test_training_leaves_caller_model_intact(self):
+        cfg = self.small_config()
+        initial = GeneratorModel.init(cfg.layer_dims, seed=4)
+        before = initial.theta.copy()
+        model, _ = post_train(cfg, initial_model=initial)
+        assert initial.theta.tobytes() == before.tobytes()
+        assert model.theta.tobytes() != before.tobytes()
 
     def test_matched_generator_stays_in_noise_band(self):
         # fixed-point sanity: a generator that already matches the target
@@ -463,28 +460,21 @@ class TestPostTrain:
 
         base_fds, analytic = frozen_chain(cfg, model, refs, states, z)
         denoms = base_fds + cfg.ensemble.c
-        params = model.params()
 
         def loss_of(flat):
-            arrays, pos = [], 0
-            for p in params:
-                arrays.append(flat[pos : pos + p.size].reshape(p.shape))
-                pos += p.size
-            fds, _ = frozen_chain(cfg, model.with_params(arrays), refs, states, z)
+            probe = GeneratorModel.unchecked(model.layer_dims, flat)
+            fds, _ = frozen_chain(cfg, probe, refs, states, z)
             return float(np.sum(np.array(cfg.ensemble.weights) * fds / denoms))
 
-        flat0 = np.concatenate([p.ravel() for p in params])
-        finite = central_difference(loss_of, flat0, step=1e-5)
-        flat_analytic = np.concatenate([g.ravel() for g in analytic])
-        assert relative_error(flat_analytic, finite) < 1e-4
+        finite = central_difference(loss_of, model.theta, step=1e-5)
+        assert relative_error(analytic, finite) < 1e-4
 
     def test_determinism_bitwise(self):
         cfg = self.small_config(total_steps=8)
         model_a, log_a = post_train(cfg)
         model_b, log_b = post_train(cfg)
         assert log_a.rows() == log_b.rows()
-        for a, b in zip(model_a.params(), model_b.params()):
-            assert a.tobytes() == b.tobytes()
+        assert model_a.theta.tobytes() == model_b.theta.tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_context(self):
@@ -498,8 +488,7 @@ class TestPostTrain:
         assert (err.step, err.quantity, err.label) == (2, "features", "rep0_identity")
         assert str(err) == "non-finite features at step 2 in rep0_identity"
         assert err.last_good_model is not None
-        for p in err.last_good_model.params():
-            assert np.isfinite(p).all()
+        assert np.isfinite(err.last_good_model.theta).all()
 
     @pytest.mark.parametrize("estimator", ["ema", "queue"])
     def test_matches_reference_loop_of_public_functions(self, estimator, monkeypatch):
@@ -508,7 +497,9 @@ class TestPostTrain:
         cfg = self.small_config(estimator=estimator, queue_capacity=32, total_steps=6)
         want_model, want_rows = reference_post_train(cfg)
 
-        counts = {"estimate": 0, "_forward": 0, "generate": 0}
+        counts = dict.fromkeys(
+            ("estimate", "_forward", "generate", "generator_backprop", "optimizer_step"), 0
+        )
         for name in counts:
             original = getattr(trainer_module, name, None)
 
@@ -520,13 +511,18 @@ class TestPostTrain:
         model, log = post_train(cfg)
 
         assert log.rows() == want_rows
-        for got, want in zip(model.params(), want_model.params(), strict=True):
-            assert got.tobytes() == want.tobytes()
+        assert model.theta.tobytes() == want_model.theta.tobytes()
         # one estimator pass per representation per step; one generator
-        # forward per step, and the warm-start and final evaluations each
-        # sample through the blocked generate
+        # forward, one backward and one update per step, and the warm-start
+        # and final evaluations each sample through the blocked generate
         steps, reps = cfg.total_steps, len(cfg.ensemble)
-        assert counts == {"estimate": steps * reps, "_forward": steps, "generate": 2}
+        assert counts == {
+            "estimate": steps * reps,
+            "_forward": steps,
+            "generate": 2,
+            "generator_backprop": steps,
+            "optimizer_step": steps,
+        }
 
     def test_log_has_lr_and_loss_columns(self):
         cfg = self.small_config(total_steps=4, warmup_steps=2)
@@ -602,15 +598,35 @@ class TestPretrainRegression:
         assert trained.weights[0][0, 0] == pytest.approx(coef[0], abs=0.05)
         assert trained.biases[0][0] == pytest.approx(coef[1], abs=0.05)
 
+    def test_training_leaves_caller_model_intact(self):
+        model = GeneratorModel.init([2, 4, 1], seed=1)
+        before = model.theta.copy()
+        source = TargetSpec.mixture(means=[[0.0]], covs=[np.eye(1)], weights=[1.0])
+        trained = pretrain_regression(model, source, steps=5)
+        assert model.theta.tobytes() == before.tobytes()
+        assert trained.theta.tobytes() != before.tobytes()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_names_parameters(self):
+    def test_divergence_names_parameters(self, monkeypatch):
+        import fdopt.trainer as trainer_module
+
+        updates = []
+
+        def recorded(*args):
+            opt, theta = optimizer_step(*args)
+            updates.append(theta)
+            return opt, theta
+
+        monkeypatch.setattr(trainer_module, "optimizer_step", recorded)
         model = GeneratorModel.init([2, 4, 1], seed=1)
         source = TargetSpec.mixture(means=[[0.0]], covs=[np.eye(1)], weights=[1.0])
         with pytest.raises(NonFiniteLossError, match="parameters at step 1$") as info:
             pretrain_regression(model, source, steps=20, lr=1e200)
         assert (info.value.quantity, info.value.label) == ("parameters", None)
-        for p in info.value.last_good_model.params():
-            assert np.isfinite(p).all()
+        good = info.value.last_good_model.theta
+        assert np.isfinite(good).all()
+        assert not np.isfinite(updates[-1]).all()
+        assert not np.shares_memory(good, updates[-1])
 
     def test_source_generator_dim_mismatch(self):
         model = GeneratorModel.init([2, 4, 2], seed=1)
