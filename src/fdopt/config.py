@@ -8,9 +8,11 @@ pretraining). Representations are indexed entries (rep.0.kind, ...) inside
 comp.0.cov, ...) inside [target]/[source], with cov given row-major.
 
 Unknown sections or keys are rejected rather than defaulted, so a typo in
-beta/capacity/c cannot silently change a run. Every value is a pure
-function of the file text; representation in_dim always equals the
-generator's out_dim.
+beta/capacity/c cannot silently change a run. Each section has one table
+mapping its keys to (dataclass field, parser); every key the file sets is
+parsed and passed on, so an omitted key takes its field's default and each
+range check lives on the dataclass. Every value is a pure function of the
+file text; representation in_dim always equals the generator's out_dim.
 """
 
 from __future__ import annotations
@@ -30,29 +32,90 @@ from .trainer import TargetSpec, TrainConfig
 
 __all__ = ["LoadedConfig", "parse_config", "load_config", "build_config"]
 
-_SECTION_KEYS = {
-    "trainer": {
-        "seed",
-        "batch_size",
-        "total_steps",
-        "warmup_steps",
-        "peak_lr",
-        "beta1",
-        "beta2",
-        "weight_decay",
-        "warm_start_count",
-        "z_dim",
-        "hidden",
-        "out_dim",
-        "pretrain_steps",
-    },
-    "estimator": {"kind", "beta", "capacity"},
-    "ensemble": {"c", "weights"},
-    "target": {"kind", "sample_seed", "path"},
-    "source": {"kind", "sample_seed", "path"},
+
+def _int(raw: str, where: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: not an integer: {raw!r}") from None
+
+
+def _float(raw: str, where: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: not a number: {raw!r}") from None
+
+
+def _str(raw: str, where: str) -> str:
+    return raw
+
+
+def _float_list(raw: str, where: str) -> tuple[float, ...]:
+    if not raw.strip():
+        return ()
+    try:
+        return tuple(float(part) for part in raw.split(","))
+    except ValueError:
+        raise ConfigError(f"{where}: not a comma-separated number list: {raw!r}") from None
+
+
+def _int_list(raw: str, where: str) -> tuple[int, ...]:
+    values = _float_list(raw, where)
+    out = tuple(int(v) for v in values)
+    if any(o != v for o, v in zip(out, values)):
+        raise ConfigError(f"{where}: expected integers, got {raw!r}")
+    return out
+
+
+# key -> (field of the dataclass the key sets, parser)
+_TRAINER = {
+    "seed": ("seed", _int),
+    "batch_size": ("batch_size", _int),
+    "total_steps": ("total_steps", _int),
+    "warmup_steps": ("warmup_steps", _int),
+    "peak_lr": ("peak_lr", _float),
+    "beta1": ("beta1", _float),
+    "beta2": ("beta2", _float),
+    "weight_decay": ("weight_decay", _float),
+    "warm_start_count": ("warm_start_count", _int),
+    "z_dim": ("z_dim", _int),
+    "hidden": ("hidden", _int_list),
+    "out_dim": ("out_dim", _int),
 }
-_REP_KEY = re.compile(r"^rep\.(\d+)\.(kind|seed|out_dim|scale)$")
+_PRETRAIN = {"pretrain_steps": ("pretrain_steps", _int)}  # [trainer], LoadedConfig
+_ESTIMATOR = {
+    "kind": ("estimator", _str),
+    "beta": ("ema_beta", _float),
+    "capacity": ("queue_capacity", _int),
+}
+_ENSEMBLE = {"c": ("c", _float), "weights": ("weights", _float_list)}
+_REP = {
+    "kind": ("kind", _str),
+    "seed": ("seed", _int),
+    "out_dim": ("out_dim", _int),
+    "scale": ("scale", _float),
+}
+_TARGET = {"sample_seed": ("sample_seed", _int)}  # [target] and [source]
+
+_SECTION_KEYS = {
+    "trainer": {*_TRAINER, *_PRETRAIN},
+    "estimator": set(_ESTIMATOR),
+    "ensemble": set(_ENSEMBLE),
+    "target": {"kind", "path", *_TARGET},
+    "source": {"kind", "path", *_TARGET},
+}
+_REP_KEY = re.compile(rf"^rep\.(\d+)\.({'|'.join(_REP)})$")
 _COMP_KEY = re.compile(r"^comp\.(\d+)\.(weight|mean|cov)$")
+
+
+def _fields(section: dict, table: dict, where: str) -> dict:
+    """{field: parsed value} for the keys of `table` that `section` sets."""
+    return {
+        field: parse(section[key], where + key)
+        for key, (field, parse) in table.items()
+        if key in section
+    }
 
 
 def parse_config(text: str) -> dict[str, dict[str, str]]:
@@ -98,45 +161,6 @@ def _check_key(section: str, key: str, lineno: int) -> None:
     raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
 
 
-def _get_int(section: dict, name: str, default=None, where: str = "") -> int:
-    if name not in section:
-        if default is None:
-            raise ConfigError(f"missing required key {where}{name}")
-        return default
-    try:
-        return int(section[name])
-    except ValueError:
-        raise ConfigError(f"{where}{name}: not an integer: {section[name]!r}") from None
-
-
-def _get_float(section: dict, name: str, default=None, where: str = "") -> float:
-    if name not in section:
-        if default is None:
-            raise ConfigError(f"missing required key {where}{name}")
-        return default
-    try:
-        return float(section[name])
-    except ValueError:
-        raise ConfigError(f"{where}{name}: not a number: {section[name]!r}") from None
-
-
-def _float_list(raw: str, where: str) -> list[float]:
-    if not raw.strip():
-        return []
-    try:
-        return [float(part) for part in raw.split(",")]
-    except ValueError:
-        raise ConfigError(f"{where}: not a comma-separated number list: {raw!r}") from None
-
-
-def _int_list(raw: str, where: str) -> tuple[int, ...]:
-    values = _float_list(raw, where)
-    out = tuple(int(v) for v in values)
-    if any(o != v for o, v in zip(out, values)):
-        raise ConfigError(f"{where}: expected integers, got {raw!r}")
-    return out
-
-
 def _indexed(section: dict, pattern: re.Pattern, what: str):
     """Collect {index: {field: value}}, requiring indices 0..K-1."""
     groups: dict[int, dict[str, str]] = {}
@@ -155,56 +179,38 @@ def _indexed(section: dict, pattern: re.Pattern, what: str):
 
 
 def _build_ensemble(section: dict, in_dim: int) -> RepresentationEnsemble:
-    reps = _indexed(section, _REP_KEY, "rep.N.*")
+    out_dims = {"identity": in_dim, "quadratic": quadratic_out_dim(in_dim)}
     specs = []
-    for i, fields in enumerate(reps):
+    for i, raw in enumerate(_indexed(section, _REP_KEY, "rep.N.*")):
         where = f"ensemble.rep.{i}."
-        kind = fields.get("kind")
-        if kind is None:
+        rep = _fields(raw, _REP, where)
+        if "kind" not in rep:
             raise ConfigError(f"missing required key {where}kind")
-        if kind == "identity":
-            default_out = in_dim
-        elif kind == "quadratic":
-            default_out = quadratic_out_dim(in_dim)
-        else:
-            default_out = None
-        out_dim = _get_int(fields, "out_dim", default_out, where)
-        specs.append(
-            RepresentationSpec(
-                kind=kind,
-                seed=_get_int(fields, "seed", 0, where),
-                in_dim=in_dim,
-                out_dim=out_dim,
-                scale=_get_float(fields, "scale", 1.0, where),
-            )
-        )
-    weights = ()
-    if "weights" in section:
-        weights = tuple(_float_list(section["weights"], "ensemble.weights"))
-    return RepresentationEnsemble(
-        specs=tuple(specs),
-        weights=weights,
-        c=_get_float(section, "c", 0.01, "ensemble."),
-    )
+        if "out_dim" not in rep and rep["kind"] not in out_dims:
+            raise ConfigError(f"missing required key {where}out_dim")
+        rep = {"seed": 0, "out_dim": out_dims.get(rep["kind"]), **rep}
+        specs.append(RepresentationSpec(in_dim=in_dim, **rep))
+    ensemble = _fields(section, _ENSEMBLE, "ensemble.")
+    return RepresentationEnsemble(specs=tuple(specs), **ensemble)
 
 
 def _build_target(section: dict, name: str) -> TargetSpec:
     kind = section.get("kind", "mixture")
+    seed_field = _fields(section, _TARGET, f"{name}.")
     if kind == "file":
         if "path" not in section:
             raise ConfigError(f"missing required key {name}.path")
-        return TargetSpec.from_file(section["path"])
+        return TargetSpec(path=section["path"], **seed_field)
     if kind != "mixture":
         raise ConfigError(f"{name}.kind must be mixture or file, got {kind!r}")
-    comps = _indexed(section, _COMP_KEY, f"{name} comp.N.*")
     means, covs, weights = [], [], []
-    for i, fields in enumerate(comps):
+    for i, comp in enumerate(_indexed(section, _COMP_KEY, f"{name} comp.N.*")):
         where = f"{name}.comp.{i}."
         for field in ("weight", "mean", "cov"):
-            if field not in fields:
+            if field not in comp:
                 raise ConfigError(f"missing required key {where}{field}")
-        mean = _float_list(fields["mean"], where + "mean")
-        cov = _float_list(fields["cov"], where + "cov")
+        mean = _float_list(comp["mean"], where + "mean")
+        cov = _float_list(comp["cov"], where + "cov")
         d = len(mean)
         if len(cov) != d * d:
             raise ConfigError(
@@ -213,12 +219,12 @@ def _build_target(section: dict, name: str) -> TargetSpec:
             )
         means.append(mean)
         covs.append(np.array(cov).reshape(d, d))
-        weights.append(_get_float(fields, "weight", where=where))
-    return TargetSpec.mixture(
+        weights.append(_float(comp["weight"], where + "weight"))
+    return TargetSpec(
         means=np.array(means),
         covs=np.array(covs),
         weights=np.array(weights),
-        sample_seed=_get_int(section, "sample_seed", 0, f"{name}."),
+        **seed_field,
     )
 
 
@@ -227,52 +233,32 @@ class LoadedConfig:
     ensemble: RepresentationEnsemble
     train: TrainConfig | None
     source: TargetSpec | None
-    pretrain_steps: int
+    pretrain_steps: int = 1000
 
 
 def build_config(sections: dict[str, dict[str, str]]) -> LoadedConfig:
     trainer = sections.get("trainer", {})
-    out_dim = _get_int(trainer, "out_dim", 2, "trainer.")
+    estimator = _fields(sections.get("estimator", {}), _ESTIMATOR, "estimator.")
+    train_fields = _fields(trainer, _TRAINER, "trainer.") | estimator
     if "ensemble" not in sections:
         raise ConfigError("missing required section [ensemble]")
-    ensemble = _build_ensemble(sections["ensemble"], in_dim=out_dim)
-
-    estimator = sections.get("estimator", {})
-    est_kind = estimator.get("kind", "ema")
-
+    in_dim = train_fields.get("out_dim", TrainConfig.out_dim)
+    ensemble = _build_ensemble(sections["ensemble"], in_dim)
     source = None
     if "source" in sections:
         source = _build_target(sections["source"], "source")
-
     train = None
     if "target" in sections:
-        warm = None
-        if "warm_start_count" in trainer:
-            warm = _get_int(trainer, "warm_start_count", where="trainer.")
         train = TrainConfig(
             ensemble=ensemble,
             target=_build_target(sections["target"], "target"),
-            seed=_get_int(trainer, "seed", 0, "trainer."),
-            batch_size=_get_int(trainer, "batch_size", 128, "trainer."),
-            total_steps=_get_int(trainer, "total_steps", 3000, "trainer."),
-            warmup_steps=_get_int(trainer, "warmup_steps", 150, "trainer."),
-            peak_lr=_get_float(trainer, "peak_lr", 1e-3, "trainer."),
-            beta1=_get_float(trainer, "beta1", 0.9, "trainer."),
-            beta2=_get_float(trainer, "beta2", 0.95, "trainer."),
-            weight_decay=_get_float(trainer, "weight_decay", 0.0, "trainer."),
-            estimator=est_kind,
-            ema_beta=_get_float(estimator, "beta", 0.999, "estimator."),
-            queue_capacity=_get_int(estimator, "capacity", 1024, "estimator."),
-            warm_start_count=warm,
-            z_dim=_get_int(trainer, "z_dim", 8, "trainer."),
-            hidden=_int_list(trainer.get("hidden", "64, 64"), "trainer.hidden"),
-            out_dim=out_dim,
+            **train_fields,
         )
     return LoadedConfig(
         ensemble=ensemble,
         train=train,
         source=source,
-        pretrain_steps=_get_int(trainer, "pretrain_steps", 1000, "trainer."),
+        **_fields(trainer, _PRETRAIN, "trainer."),
     )
 
 

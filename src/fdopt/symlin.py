@@ -104,14 +104,3 @@ def congruence_eig(ref_root: np.ndarray, gen_cov: np.ndarray):
         log.warning("congruence_eig: clamping eigenvalue of magnitude %.6e", worst)
     return w, v
 
-
-def trace_sqrt_product(ref_root: np.ndarray, gen_cov: np.ndarray) -> float:
-    """Tr((R C R)^{1/2}) for R = ref_root, C = gen_cov, via eigenvalues.
-
-    Equals Tr((R^2 C)^{1/2}) when both R^2 and C are PSD. Negative
-    eigenvalues of the congruence are clamped to zero.
-    """
-    ref_root = check_symmetric(ref_root, "ref_root")
-    gen_cov = check_symmetric(gen_cov, "gen_cov")
-    w, _ = congruence_eig(ref_root, gen_cov)
-    return float(np.sqrt(np.maximum(w, 0.0)).sum())

@@ -445,8 +445,12 @@ class TrainConfig:
                 f"need 0 <= warmup_steps <= total_steps, got "
                 f"{self.warmup_steps} vs {self.total_steps}"
             )
-        if not (self.peak_lr > 0):
-            raise ConfigError(f"peak_lr must be > 0, got {self.peak_lr}")
+        if not (0.0 < self.peak_lr < math.inf):
+            raise ConfigError(f"peak_lr must be finite and > 0, got {self.peak_lr}")
+        if self.z_dim < 1:
+            raise ConfigError(f"z_dim must be >= 1, got {self.z_dim}")
+        if any(width < 1 for width in self.hidden):
+            raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
         for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not (0.0 <= beta < 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1), got {beta}")

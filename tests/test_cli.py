@@ -439,18 +439,26 @@ class TestPipeline:
         for p in (*weights, *biases):
             assert np.isfinite(p).all()
 
-    def test_beta2_of_one_is_a_config_error(self, workspace, capsys):
-        # beta2 = 1 zeroes the bias correction, so training would divide by 0
+    @pytest.mark.parametrize(
+        "setting, field",
+        [
+            # beta2 = 1 zeroes the bias correction, so training would divide by 0
+            ("peak_lr = 0.001\nbeta2 = 1", "beta2"),
+            # an infinite rate makes the first update non-finite
+            ("peak_lr = inf", "peak_lr"),
+        ],
+        ids=["beta2", "peak_lr"],
+    )
+    def test_beta2_of_one_is_a_config_error(self, workspace, capsys, setting, field):
         bad = workspace / "bad.cfg"
         bad.write_text(
-            CONFIG_TEXT.replace("peak_lr = 0.001", "peak_lr = 0.001\nbeta2 = 1"),
-            encoding="utf-8",
+            CONFIG_TEXT.replace("peak_lr = 0.001", setting), encoding="utf-8"
         )
         code = cli_dispatch(
             ["train", "--config", str(bad), "--out", path(workspace, "m.ckpt")]
         )
         assert code == 2
-        assert "beta2" in capsys.readouterr().err
+        assert field in capsys.readouterr().err
         assert not (workspace / "m.ckpt").exists()
         assert not (workspace / "m.ckpt.last_good").exists()
 

@@ -1,12 +1,24 @@
 """Config file parsing: sections, typed keys, indexed reps/components."""
 
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fdopt.config import build_config, load_config, parse_config
+from fdopt.config import (
+    _SECTION_KEYS,
+    LoadedConfig,
+    build_config,
+    load_config,
+    parse_config,
+)
 from fdopt.errors import ConfigError
+from fdopt.representations import RepresentationEnsemble, RepresentationSpec
+from fdopt.trainer import TargetSpec, TrainConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 FULL_TEXT = """\
 # exercise every section
@@ -194,6 +206,14 @@ class TestBuild:
         train = build_config(parse_config(text)).train
         assert train.target.path == "/data/rows.bin"
 
+    def test_file_target_keeps_sample_seed(self):
+        # the seed of the with-replacement resampling stream
+        text = (
+            "[ensemble]\nrep.0.kind = identity\n"
+            "[target]\nkind = file\npath = rows.bin\nsample_seed = 7\n"
+        )
+        assert build_config(parse_config(text)).train.target.sample_seed == 7
+
     def test_file_target_requires_path(self):
         text = "[ensemble]\nrep.0.kind = identity\n[target]\nkind = file\n"
         with pytest.raises(ConfigError, match="target.path"):
@@ -208,6 +228,12 @@ class TestBuild:
                     "comp.0.cov = 1, 0, 0, 1\n"
                 )
             )
+
+    def test_bad_int_without_target(self):
+        # every [trainer] value is parsed, even when no TrainConfig is built
+        text = "[trainer]\nbatch_size = many\n[ensemble]\nrep.0.kind = identity\n"
+        with pytest.raises(ConfigError, match="trainer.batch_size: not an integer"):
+            build_config(parse_config(text))
 
     def test_bad_float_list(self):
         with pytest.raises(ConfigError, match="ensemble.weights"):
@@ -244,6 +270,11 @@ class TestBuild:
             ),
             # a queue warm start fills the whole 256-row ring
             ({"seed = 3": "seed = 3\nwarm_start_count = 255"}, "warm_start_count"),
+            ({"peak_lr = 0.002": "peak_lr = inf"}, "peak_lr"),
+            ({"peak_lr = 0.002": "peak_lr = nan"}, "peak_lr"),
+            ({"peak_lr = 0.002": "peak_lr = 0"}, "peak_lr"),
+            ({"z_dim = 4": "z_dim = 0"}, "z_dim"),
+            ({"hidden = 16, 8": "hidden = 16, 0"}, "hidden"),
         ],
     )
     def test_out_of_range_values_name_their_field(self, edits, field):
@@ -277,8 +308,55 @@ def test_mixture_config_eigendecomposes_each_component_once(monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    path = Path(__file__).resolve().parents[1] / "configs" / "mixture.cfg"
+    path = ROOT / "configs" / "mixture.cfg"
     loaded = load_config(str(path))
     components = len(loaded.train.target.weights) + len(loaded.source.weights)
     assert components == 3
     assert shapes == [(2, 2)] * components
+
+
+def _default(cls, name):
+    return next(f.default for f in fields(cls) if f.name == name)
+
+
+def test_each_default_has_one_owner():
+    # a key the file leaves out takes the default of the field it sets
+    text = (
+        "[ensemble]\nrep.0.kind = tanh_rf\nrep.0.out_dim = 3\n"
+        "[target]\ncomp.0.weight = 1\ncomp.0.mean = 0, 0\ncomp.0.cov = 1, 0, 0, 1\n"
+    )
+    loaded = build_config(parse_config(text))
+    train = loaded.train
+    want = TrainConfig(ensemble=train.ensemble, target=train.target)
+    for field in fields(TrainConfig):
+        assert getattr(train, field.name) == getattr(want, field.name), field.name
+    assert loaded.ensemble.c == _default(RepresentationEnsemble, "c")
+    assert loaded.ensemble.specs[0].scale == _default(RepresentationSpec, "scale")
+    assert train.target.sample_seed == _default(TargetSpec, "sample_seed")
+    assert loaded.pretrain_steps == _default(LoadedConfig, "pretrain_steps")
+
+
+def test_accepted_keys_per_section():
+    assert _SECTION_KEYS == {
+        "trainer": {
+            "seed", "batch_size", "total_steps", "warmup_steps", "peak_lr",
+            "beta1", "beta2", "weight_decay", "warm_start_count", "z_dim",
+            "hidden", "out_dim", "pretrain_steps",
+        },
+        "estimator": {"kind", "beta", "capacity"},
+        "ensemble": {"c", "weights"},
+        "target": {"kind", "sample_seed", "path"},
+        "source": {"kind", "sample_seed", "path"},
+    }
+    for field in ("kind", "seed", "out_dim", "scale"):
+        parse_config(f"[ensemble]\nrep.3.{field} = 1\n")
+    with pytest.raises(ConfigError, match="unknown key 'rep.0.in_dim'"):
+        parse_config("[ensemble]\nrep.0.in_dim = 2\n")
+
+
+def test_readme_config_example_builds():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    loaded = build_config(parse_config(example))
+    assert loaded.train.total_steps == 5000
+    assert loaded.pretrain_steps == 1500

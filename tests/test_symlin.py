@@ -6,8 +6,14 @@ from hypothesis import strategies as st
 from conftest import random_psd, random_symmetric
 from fdopt.errors import DataError, NonFiniteDataError, NumericalError
 from fdopt.rng import SplitMix64
-from fdopt.symlin import eig_sym, sqrt_psd, trace_sqrt_product
+from fdopt.symlin import congruence_eig, eig_sym, sqrt_psd
 from oracles import denman_beavers_sqrt, trace_sqrt_product_oracle
+
+
+def congruence_root_trace(ref_root, gen_cov):
+    """Tr((R C R)^{1/2}) from congruence_eig's eigenvalues, clamped at zero."""
+    w, _ = congruence_eig(ref_root, gen_cov)
+    return float(np.sqrt(np.maximum(w, 0.0)).sum())
 
 
 class TestEigSym:
@@ -58,7 +64,7 @@ class TestEigSym:
 
         monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
         with pytest.raises(NumericalError, match="congruence R C R"):
-            trace_sqrt_product(np.eye(3), np.eye(3))
+            congruence_root_trace(np.eye(3), np.eye(3))
         with pytest.raises(NumericalError, match="component 0"):
             eig_sym(np.eye(2), name="component 0")
 
@@ -100,39 +106,40 @@ class TestSqrtPsd:
 
 class TestTraceSqrtProduct:
     def test_identity_root(self):
-        assert trace_sqrt_product(np.eye(2), np.diag([4.0, 9.0])) == pytest.approx(5.0)
+        got = congruence_root_trace(np.eye(2), np.diag([4.0, 9.0]))
+        assert got == pytest.approx(5.0)
 
     def test_root_of_same_matrix(self):
         a = random_psd(47, 5)
         r = sqrt_psd(a)
-        assert trace_sqrt_product(r, a) == pytest.approx(np.trace(a), rel=1e-10)
+        assert congruence_root_trace(r, a) == pytest.approx(np.trace(a), rel=1e-10)
 
     def test_matches_bruteforce_oracle(self):
         for seed in range(20):
             a = random_psd(1000 + seed, 6)
             b = random_psd(2000 + seed, 6)
             r = sqrt_psd(a)
-            got = trace_sqrt_product(r, b)
+            got = congruence_root_trace(r, b)
             want = trace_sqrt_product_oracle(r, b)
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DataError, match="mismatch"):
-            trace_sqrt_product(np.eye(2), np.eye(3))
+            congruence_root_trace(np.eye(2), np.eye(3))
 
     @given(st.integers(0, 2**31), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_nonnegative(self, seed, d):
         r = sqrt_psd(random_psd(seed, d))
         c = random_symmetric(seed + 1, d)
-        assert trace_sqrt_product(r, c) >= 0.0
+        assert congruence_root_trace(r, c) >= 0.0
 
     def test_rotation_invariance(self):
         # conjugating R^2 and C by the same rotation leaves the trace alone
         d = 5
         a = random_psd(53, d)
         c = random_psd(59, d)
-        base = trace_sqrt_product(sqrt_psd(a), c)
+        base = congruence_root_trace(sqrt_psd(a), c)
         q, _ = np.linalg.qr(SplitMix64(61).normal_matrix(d, d))
-        rotated = trace_sqrt_product(sqrt_psd(q @ a @ q.T), q @ c @ q.T)
+        rotated = congruence_root_trace(sqrt_psd(q @ a @ q.T), q @ c @ q.T)
         assert rotated == pytest.approx(base, rel=1e-8)
