@@ -20,8 +20,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from .config import load_config
 from .errors import (
     DataError,
@@ -35,21 +33,21 @@ from .formats import (
     STATS_MAGIC,
     format_sig9,
     read_checkpoint,
-    read_features,
+    read_feature_blocks,
     read_metrics_log,
     read_stats,
     write_checkpoint,
-    write_features,
+    write_feature_blocks,
     write_metrics_log,
     write_report_csv,
     write_stats,
 )
-from .frechet import fd, feature_stats, make_reference, stats_from_features
+from .frechet import BLOCK_ROWS, Moments, fd, make_reference, split_stats
 from .metrics import build_report
 from .rng import SplitMix64, derive_seed
 from .trainer import (
     GeneratorModel,
-    generate_from_stream,
+    generate_blocks,
     post_train,
     pretrain_regression,
 )
@@ -76,18 +74,10 @@ def _load_model(path: str) -> GeneratorModel:
     return GeneratorModel(weights=tuple(weights), biases=tuple(biases))
 
 
-def _read_concat_features(paths) -> np.ndarray:
-    blocks = [read_features(path) for path in paths]
-    dims = {block.shape[1] for block in blocks}
-    if len(dims) > 1:
-        raise DataError(f"feature files disagree on dimension: {sorted(dims)}")
-    return np.concatenate(blocks, axis=0)
-
-
 def _cmd_compute_stats(args) -> int:
-    rows = read_features(args.features)
-    write_stats(args.out, stats_from_features(rows))
-    _LOG.info("wrote %s from %d rows", args.out, rows.shape[0])
+    stats = Moments(read_feature_blocks([args.features]), owned=True).stats()
+    write_stats(args.out, stats)
+    _LOG.info("wrote %s from %d rows", args.out, stats.weight)
     return 0
 
 
@@ -97,9 +87,9 @@ def _cmd_fd(args) -> int:
     if magic == STATS_MAGIC:
         gen_stats = read_stats(args.gen)
     elif magic == FEATURES_MAGIC:
-        rows = read_features(args.gen)
+        blocks = read_feature_blocks([args.gen])
         if args.rep is None:
-            gen_stats = stats_from_features(rows)
+            gen_stats = Moments(blocks, owned=True).stats()
         else:
             ensemble = load_config(args.rep).ensemble
             if len(ensemble) != 1:
@@ -107,7 +97,7 @@ def _cmd_fd(args) -> int:
                     f"--rep config must define exactly one representation, "
                     f"found {len(ensemble)}"
                 )
-            gen_stats = feature_stats(ensemble.specs[0], rows)
+            gen_stats = split_stats(ensemble.specs, blocks, "gen features")[0]
     else:
         raise DataError(f"{args.gen}: neither a stats nor a features file")
     print(f"{fd(ref, gen_stats):.6f}")
@@ -115,11 +105,10 @@ def _cmd_fd(args) -> int:
 
 
 def _cmd_fdr(args) -> int:
-    loaded = load_config(args.config)
-    ensemble = loaded.ensemble
+    ensemble = load_config(args.config).ensemble
     if len(args.train) == 1 and _sniff_magic(args.train[0]) == FEATURES_MAGIC:
-        rows = read_features(args.train[0])
-        train_stats = [feature_stats(spec, rows) for spec in ensemble.specs]
+        blocks = read_feature_blocks(args.train)
+        train_stats = split_stats(ensemble.specs, blocks, "train features")
     else:
         if len(args.train) != len(ensemble):
             raise DataError(
@@ -127,12 +116,9 @@ def _cmd_fdr(args) -> int:
                 f"got {len(args.train)}"
             )
         train_stats = [read_stats(path) for path in args.train]
-    report = build_report(
-        ensemble,
-        train_stats,
-        _read_concat_features(args.val),
-        _read_concat_features(args.gen),
-    )
+    # both splits' headers are checked before either payload is read
+    val, gen = read_feature_blocks(args.val), read_feature_blocks(args.gen)
+    report = build_report(ensemble, train_stats, val, gen)
     write_report_csv(report, args.out)
     print(f"FDRK {format_sig9(report.fdr_k)}")
     return 0
@@ -193,7 +179,10 @@ def _cmd_sample(args) -> int:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     model = _load_model(args.ckpt)
     stream = SplitMix64(derive_seed("sample-noise", args.seed))
-    write_features(args.out, generate_from_stream(model, stream, args.n))
+    # each block's noise is drawn just before its forward and written after it
+    noise = stream.normal_blocks(args.n, model.z_dim, BLOCK_ROWS)
+    blocks = generate_blocks(model, noise)
+    write_feature_blocks(args.out, (args.n, model.out_dim), blocks)
     return 0
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .representations import (
     RepresentationEnsemble,
     RepresentationSpec,
@@ -118,6 +118,19 @@ def _fields(section: dict, table: dict, where: str) -> dict:
     }
 
 
+def _construct(cls, where: str, **fields):
+    """cls(**fields); a range error, which begins with the field it rejects, is
+    raised again naming its key: where + field (in_dim is trainer.out_dim)."""
+    try:
+        return cls(**fields)
+    except DataError as exc:
+        field, _, rest = str(exc).partition(" ")
+        if field not in fields:
+            raise
+        key = "trainer.out_dim" if field == "in_dim" else where + field
+        raise ConfigError(f"{key} {rest}") from None
+
+
 def parse_config(text: str) -> dict[str, dict[str, str]]:
     """Text -> {section: {key: raw value}}, validating shape only."""
     sections: dict[str, dict[str, str]] = {}
@@ -189,9 +202,10 @@ def _build_ensemble(section: dict, in_dim: int) -> RepresentationEnsemble:
         if "out_dim" not in rep and rep["kind"] not in out_dims:
             raise ConfigError(f"missing required key {where}out_dim")
         rep = {"seed": 0, "out_dim": out_dims.get(rep["kind"]), **rep}
-        specs.append(RepresentationSpec(in_dim=in_dim, **rep))
+        specs.append(_construct(RepresentationSpec, where, in_dim=in_dim, **rep))
     ensemble = _fields(section, _ENSEMBLE, "ensemble.")
-    return RepresentationEnsemble(specs=tuple(specs), **ensemble)
+    specs = tuple(specs)
+    return _construct(RepresentationEnsemble, "ensemble.", specs=specs, **ensemble)
 
 
 def _build_target(section: dict, name: str) -> TargetSpec:

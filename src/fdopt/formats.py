@@ -7,10 +7,10 @@ Formats (all little-endian):
     checkpoint "FDC1" | u32 L | L x (u32 in, u32 out) | per layer: f64 W
                (out x in, row-major) then f64 b (out)
 
-Feature payloads are 32-bit (bulk dumps); statistics and parameters are
-64-bit (numerically sensitive). Loads upcast features to float64. Every
-writer goes through a temp file in the destination directory followed by
-os.replace, so readers never observe partial files.
+Feature payloads are 32-bit (bulk dumps), written and read one BLOCK_ROWS
+block at a time and upcast to float64 on load; statistics and parameters
+are 64-bit (numerically sensitive). Every writer goes through a temp file
+in the destination directory, then os.replace: no reader sees a partial file.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     NumericalError,
     TruncatedFileError,
 )
-from .frechet import GaussianStats
+from .frechet import BLOCK_ROWS, GaussianStats, check_rows, row_blocks
 
 FEATURES_MAGIC = b"FDF1"
 STATS_MAGIC = b"FDS1"
@@ -36,11 +36,17 @@ CHECKPOINT_MAGIC = b"FDC1"
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
+    atomic_write_chunks(path, (payload,))
+
+
+def atomic_write_chunks(path: str, chunks) -> None:
+    """atomic_write_bytes of the bytes-like chunks, written as they arrive."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -55,17 +61,18 @@ def atomic_write_text(path: str, text: str) -> None:
 class _Reader:
     """Byte cursor with truncation errors that name expected vs actual."""
 
-    def __init__(self, payload: bytes, path: str):
-        self.payload = payload
+    def __init__(self, payload: bytes, path: str, size: int | None = None):
+        self.payload = payload  # the file's first bytes, or all of them
         self.path = path
+        self.size = len(payload) if size is None else size  # bytes in the file
         self.pos = 0
 
     def take(self, count: int, what: str) -> bytes:
         end = self.pos + count
-        if end > len(self.payload):
+        if end > self.size:
             raise TruncatedFileError(
                 f"{self.path}: truncated while reading {what}: expected "
-                f"{end} bytes, file has {len(self.payload)}"
+                f"{end} bytes, file has {self.size}"
             )
         chunk = self.payload[self.pos : end]
         self.pos = end
@@ -91,37 +98,73 @@ class _Reader:
         return np.frombuffer(self.take(count * itemsize, what), dtype=dtype).copy()
 
     def expect_end(self) -> None:
-        extra = len(self.payload) - self.pos
+        extra = self.size - self.pos
         if extra:
             raise DataError(f"{self.path}: {extra} unexpected trailing bytes")
 
 
-def write_features(path: str, matrix: np.ndarray) -> None:
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
-        raise DataError(f"features must be n x d with n, d >= 1, got {matrix.shape}")
-    if not np.isfinite(matrix).all():
-        raise NonFiniteDataError("refusing to write non-finite features")
-    n, d = matrix.shape
-    payload = FEATURES_MAGIC + struct.pack("<II", n, d)
-    payload += np.ascontiguousarray(matrix, dtype="<f4").tobytes()
-    atomic_write_bytes(path, payload)
+def write_features(path: str, rows: np.ndarray) -> None:
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
+        raise DataError(f"features must be n x d with n, d >= 1, got {rows.shape}")
+    write_feature_blocks(path, rows.shape, row_blocks(rows))
+
+
+def write_feature_blocks(path: str, shape: tuple[int, int], blocks) -> None:
+    """Write the header, then each of the blocks that hold the n x d rows as
+    float32, as it arrives; a non-finite block leaves no file."""
+
+    def chunks():
+        yield FEATURES_MAGIC + struct.pack("<II", *shape)
+        for block in blocks:
+            if not np.isfinite(block).all():
+                raise NonFiniteDataError("refusing to write non-finite features")
+            yield np.ascontiguousarray(block, dtype="<f4")
+
+    atomic_write_chunks(path, chunks())
 
 
 def read_features(path: str) -> np.ndarray:
-    with open(path, "rb") as handle:
-        reader = _Reader(handle.read(), path)
-    reader.expect_magic(FEATURES_MAGIC)
-    n = reader.u32("row count")
-    d = reader.u32("column count")
-    if n < 1 or d < 1:
-        raise DataError(f"{path}: header declares empty matrix {n} x {d}")
-    rows = reader.array(n * d, "<f4", f"{n}x{d} feature payload").reshape(n, d)
-    reader.expect_end()
-    if not np.isfinite(rows).all():
-        bad = int(np.nonzero(~np.isfinite(rows).all(axis=1))[0][0])
-        raise NonFiniteDataError(f"{path}: row {bad} contains non-finite entries")
-    return rows.astype(np.float64)
+    return np.concatenate(list(read_feature_blocks([path])))
+
+
+def read_feature_blocks(paths):
+    """The rows of one or more features files, read as one split: float64
+    blocks of BLOCK_ROWS rows (the last may be shorter) that run across file
+    boundaries. Every header and file size is checked here, before any
+    payload is read; a non-finite row is named by its index in the split."""
+    headers = []
+    for path in paths:
+        with open(path, "rb") as handle:
+            reader = _Reader(handle.read(12), path, os.fstat(handle.fileno()).st_size)
+        reader.expect_magic(FEATURES_MAGIC)
+        n, d = reader.u32("row count"), reader.u32("column count")
+        if n < 1 or d < 1:
+            raise DataError(f"{path}: header declares empty matrix {n} x {d}")
+        reader.take(4 * n * d, f"{n}x{d} feature payload")  # checks the size only
+        reader.expect_end()
+        headers.append((path, n, d))
+    dims = sorted({d for _, _, d in headers})
+    if len(dims) > 1:
+        raise DataError(f"feature files disagree on dimension: {dims}")
+    return _split_blocks(headers, ", ".join(paths))
+
+
+def _split_blocks(headers, name: str):
+    total = sum(n for _, n, _ in headers)
+    pieces, count, first = [], 0, 0
+    for path, n, d in headers:
+        with open(path, "rb") as handle:
+            handle.seek(12)
+            while n:
+                take = min(BLOCK_ROWS - count, n)
+                chunk = np.frombuffer(handle.read(4 * take * d), dtype="<f4")
+                pieces.append(chunk.reshape(take, d))
+                count, n = count + take, n - take
+                if count == BLOCK_ROWS or first + count == total:
+                    block = np.concatenate(pieces, dtype=np.float64)
+                    yield check_rows(block, name, first=first)
+                    pieces, count, first = [], 0, first + count
 
 
 def write_stats(path: str, stats: GaussianStats) -> None:

@@ -8,9 +8,9 @@ The distance between populations summarized by (mu_r, sigma_r) and
 with the trace term evaluated through the symmetric congruence
 R sigma_g R, R = sigma_r^{1/2}, which is precomputed once per reference.
 
-Moments of a large population are accumulated in blocks of BLOCK_ROWS rows,
-so memory stays O(BLOCK_ROWS x d) whatever the row count. Each block gets
-its own two-pass mean and centred scatter; blocks are then merged pairwise
+A population's Moments take its rows a block of BLOCK_ROWS at a time, so
+memory stays O(BLOCK_ROWS x d) whatever the row count. Each block gets its
+own two-pass mean and centred scatter, merged into the running moments
 (Chan, Golub & LeVeque, "Algorithms for computing the sample variance",
 1983): for running (n_a, mu_a, S_a) and block (n_b, mu_b, S_b), with
 delta = mu_b - mu_a and n = n_a + n_b,
@@ -112,9 +112,10 @@ def make_reference(stats: GaussianStats) -> ReferenceStats:
 BLOCK_ROWS = 4096
 
 
-def check_rows(rows: np.ndarray, what: str, dim: int | None = None) -> np.ndarray:
+def check_rows(rows, what: str, dim: int | None = None, first: int = 0) -> np.ndarray:
     """rows as a nonempty float64 n x d matrix (d = dim when given) with every
-    entry finite; the first non-finite row is named by its index."""
+    entry finite; the first non-finite row is named by its index plus first,
+    the index of rows' first row in the split they come from."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
         raise DataError(f"{what} must be a nonempty n x d matrix, got shape {rows.shape}")
@@ -122,35 +123,36 @@ def check_rows(rows: np.ndarray, what: str, dim: int | None = None) -> np.ndarra
         raise DataError(f"{what} must be n x {dim}, got shape {rows.shape}")
     finite_rows = np.isfinite(rows).all(axis=1)
     if not finite_rows.all():
-        bad = int(np.nonzero(~finite_rows)[0][0])
+        bad = first + int(np.nonzero(~finite_rows)[0][0])
         raise NonFiniteDataError(f"{what} row {bad} contains non-finite entries")
     return rows
 
 
 def stats_from_features(features: np.ndarray) -> GaussianStats:
     """Column mean and population covariance (divisor n) of an n x d matrix."""
-    stats = population_stats(check_rows(features, "features"))
-    # validated again: finite rows can still overflow the covariance
-    return GaussianStats(stats.mu, stats.sigma, stats.weight)
+    return Moments(row_blocks(check_rows(features, "features"))).stats()
 
 
-def feature_stats(spec: RepresentationSpec, samples: np.ndarray) -> GaussianStats:
-    """stats_from_features(featurize(spec, samples)) without building the
-    n x out_dim feature matrix: each block of samples is featurized and
-    folded into the moments in turn.
+def feature_stats(spec: RepresentationSpec, samples) -> GaussianStats:
+    """stats_from_features(featurize(spec, samples)), as split_stats takes it."""
+    return split_stats([spec], samples, "samples")[0]
 
-    samples must be finite (the caller checks them where they enter); only
-    their shape is checked here.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[0] < 1 or samples.shape[1] != spec.in_dim:
-        raise DataError(
-            f"samples must be n x {spec.in_dim} for {spec.kind}, got {samples.shape}"
-        )
-    blocks = (featurize(spec, block) for block in _row_blocks(samples))
-    stats = _stats(*_scatter(blocks, owned=True))
-    # a feature map can overflow on finite samples
-    return GaussianStats(stats.mu, stats.sigma, stats.weight)
+
+def split_stats(specs, split, what: str) -> list[GaussianStats]:
+    """[feature_stats(spec, split) for spec in specs] in one pass over a split
+    given as an n x in_dim matrix or as an iterable of row blocks. Each block
+    is checked, naming a bad row by its index in the split, then featurized
+    in every space and folded into that space's moments."""
+    if isinstance(split, np.ndarray):
+        split = row_blocks(split)
+    sums = [Moments() for _ in specs]
+    for block in split:
+        block = check_rows(block, what, specs[0].in_dim, first=sums[0].n)
+        for spec, moments in zip(specs, sums):
+            moments.add(featurize(spec, block), owned=True)
+    if not sums[0].n:
+        raise DataError(f"{what} has no rows")
+    return [moments.stats() for moments in sums]
 
 
 def population_stats(features: np.ndarray) -> GaussianStats:
@@ -162,30 +164,42 @@ def population_scatter(features: np.ndarray):
     """(n, mu, S) of a finite float64 n x d matrix, unchecked: its row count,
     column mean and centred scatter S = sum_i (x_i - mu)(x_i - mu)^T, so that
     population_stats has sigma = S / n."""
-    return _scatter(_row_blocks(features), owned=False)
+    moments = Moments(row_blocks(features))
+    return moments.n, moments.mu, moments.scatter
 
 
-def _row_blocks(rows: np.ndarray):
+def row_blocks(rows: np.ndarray):
+    """Views of rows' successive BLOCK_ROWS-row blocks."""
     for start in range(0, rows.shape[0], BLOCK_ROWS):
         yield rows[start : start + BLOCK_ROWS]
 
 
-def _scatter(blocks, owned: bool):
-    """(n, mu, S) of the rows of nonempty finite blocks, merged as in the
-    module docstring. owned blocks were made for this call and are centred
-    in place; other blocks are left intact."""
-    n = 0
-    for block in blocks:
+class Moments:
+    """Running row count n, mean mu and centred scatter S of nonempty finite
+    float64 blocks of rows, each merged in as in the module docstring. Owned
+    blocks were made for this accumulator and are centred in place."""
+
+    def __init__(self, blocks=(), owned: bool = False):
+        self.n = 0
+        for block in blocks:
+            self.add(block, owned)
+
+    def add(self, block: np.ndarray, owned: bool = False) -> None:
         block_n, block_mu, block_s = block_scatter(block, owned)
-        if n == 0:
-            n, mu, scatter = block_n, block_mu, block_s
-            continue
-        total = n + block_n
-        mu, scatter = merge_moments(
-            mu, scatter, block_mu, block_s, block_n / total, n * block_n / total
+        if self.n == 0:
+            self.n, self.mu, self.scatter = block_n, block_mu, block_s
+            return
+        total = self.n + block_n
+        self.mu, self.scatter = merge_moments(
+            self.mu, self.scatter, block_mu, block_s, block_n / total,
+            self.n * block_n / total,
         )
-        n = total
-    return n, mu, scatter
+        self.n = total
+
+    def stats(self) -> GaussianStats:
+        """The population stats, checked: finite rows can overflow them."""
+        stats = _stats(self.n, self.mu, self.scatter)
+        return GaussianStats(stats.mu, stats.sigma, stats.weight)
 
 
 def block_scatter(block: np.ndarray, owned: bool = False):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .frechet import ReferenceStats, check_rows, fd, feature_stats, make_reference
+from .frechet import ReferenceStats, fd, make_reference, split_stats
 from .representations import RepresentationEnsemble
 
 __all__ = [
@@ -82,38 +82,41 @@ def rep_labels(ensemble: RepresentationEnsemble) -> tuple[str, ...]:
 def build_report(
     ensemble: RepresentationEnsemble,
     train_stats,
-    val_samples: np.ndarray,
-    gen_samples: np.ndarray,
+    val_split,
+    gen_split,
 ) -> FdrReport:
     """Assemble per-representation ratios against shared train statistics.
 
     train_stats holds one GaussianStats (or ReferenceStats) per
     representation, in ensemble order and in that representation's feature
-    space. val_samples and gen_samples are raw sample matrices featurized
-    here, so all three populations go through identical maps. Each split is
-    checked once, here; its moments are then taken block by block, so no
-    n x out_dim feature matrix is built.
+    space. val_split and gen_split hold raw samples, each a matrix or an
+    iterable of row blocks (a features file's, say), featurized here so that
+    all three populations go through identical maps; split_stats reads each
+    split once, a block at a time.
     """
     if len(train_stats) != len(ensemble):
         raise DataError(
             f"{len(train_stats)} train stats for {len(ensemble)} representations"
         )
-    val_samples = check_rows(val_samples, "val samples", ensemble.in_dim)
-    gen_samples = check_rows(gen_samples, "gen samples", ensemble.in_dim)
-    rows = []
-    for name, spec, stats in zip(rep_labels(ensemble), ensemble.specs, train_stats):
+    names = rep_labels(ensemble)
+    refs = []
+    for name, spec, stats in zip(names, ensemble.specs, train_stats):
         ref = stats if isinstance(stats, ReferenceStats) else make_reference(stats)
         if ref.dim != spec.out_dim:
             raise DataError(
                 f"{name}: train stats have dim {ref.dim}, representation "
                 f"produces {spec.out_dim}"
             )
-        val_stats = feature_stats(spec, val_samples)
-        fd_val = fd(ref, val_stats)
-        fd_gen = fd(ref, feature_stats(spec, gen_samples))
+        refs.append(ref)
+    val_stats = split_stats(ensemble.specs, val_split, "val samples")
+    gen_stats = split_stats(ensemble.specs, gen_split, "gen samples")
+    rows = []
+    for name, ref, val, gen in zip(names, refs, val_stats, gen_stats):
+        fd_val = fd(ref, val)
+        fd_gen = fd(ref, gen)
         # FD of a split against itself is rounding noise on the scale of the
         # traces, not exactly 0
-        tol = 1e-9 * (ref.trace + float(np.trace(val_stats.sigma)))
+        tol = 1e-9 * (ref.trace + float(np.trace(val.sigma)))
         if fd_val <= tol:
             raise DataError(
                 f"{name}: validation split is indistinguishable from the "
@@ -131,6 +134,6 @@ def build_report(
     return FdrReport(
         rows=tuple(rows),
         fdr_k=fdr_k([row.ratio for row in rows]),
-        n_val=val_samples.shape[0],
-        n_gen=gen_samples.shape[0],
+        n_val=int(val_stats[0].weight),
+        n_gen=int(gen_stats[0].weight),
     )

@@ -52,12 +52,12 @@ class RepresentationSpec:
     scale: float = 1.0
 
     def __post_init__(self):
+        # a range error begins with its field; config.py names the key for it
         if self.kind not in KINDS:
-            raise DataError(f"unknown representation kind {self.kind!r}")
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise DataError(
-                f"dims must be >= 1, got in={self.in_dim} out={self.out_dim}"
-            )
+            raise DataError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        for name in ("in_dim", "out_dim"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise DataError(f"seed must be unsigned, got {self.seed}")
         if not (self.scale > 0.0):
@@ -163,7 +163,7 @@ class RepresentationEnsemble:
         if any(not (w > 0.0) for w in weights):
             raise DataError("weights must be > 0")
         if not (self.c > 0.0):
-            raise DataError(f"normalization constant must be > 0, got {self.c}")
+            raise DataError(f"c must be > 0, got {self.c}")
         dims = {s.in_dim for s in specs}
         if len(dims) != 1:
             raise DataError(f"representations disagree on in_dim: {sorted(dims)}")

@@ -86,6 +86,16 @@ class SplitMix64:
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.normals(rows * cols).reshape(rows, cols)
 
+    def uniform_blocks(self, n: int, block_rows: int):
+        """uniforms(n) in successive blocks of block_rows values, drawing only
+        each block's counter window; the stream moves past all n at once."""
+        state = self._state
+        self._state = (state + n * _GOLDEN) & _MASK64
+        return (
+            _unit(_outputs(state, start, min(block_rows, n - start)))
+            for start in range(0, n, block_rows)
+        )
+
     def normal_blocks(self, rows: int, cols: int, block_rows: int):
         """normal_matrix(rows, cols) as successive blocks of block_rows rows
         (the last may be shorter), the same values, drawing only each block's

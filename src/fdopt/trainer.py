@@ -41,8 +41,9 @@ from .frechet import (
     check_rows,
     fd,
     fd_with_grad,
-    feature_stats,
     make_reference,
+    row_blocks,
+    split_stats,
 )
 from .metrics import rep_labels
 from .representations import (
@@ -64,7 +65,7 @@ __all__ = [
     "TrainRecord",
     "MetricsLog",
     "generate",
-    "generate_from_stream",
+    "generate_blocks",
     "generator_backprop",
     "optimizer_step",
     "lr_at",
@@ -175,37 +176,29 @@ def generate(model: GeneratorModel, z: np.ndarray) -> np.ndarray:
     only the n x out_dim output grows with n. Training keeps _forward,
     whose activations backprop needs."""
     z = _check_z(model, z)
-    n = z.shape[0]
-    blocks = (z[start : start + BLOCK_ROWS] for start in range(0, n, BLOCK_ROWS))
-    return _generate_blocks(model, blocks, n)
+    out = np.empty((z.shape[0], model.out_dim))
+    for dest, block in zip(row_blocks(out), generate_blocks(model, row_blocks(z))):
+        dest[:] = block
+    return out
 
 
-def generate_from_stream(
-    model: GeneratorModel, stream: SplitMix64, n: int
-) -> np.ndarray:
-    """generate(model, stream.normal_matrix(n, model.z_dim)), byte for byte,
-    with each block's noise drawn just before its forward, so the noise
-    never exists as one n x z_dim matrix."""
-    return _generate_blocks(model, stream.normal_blocks(n, model.z_dim, BLOCK_ROWS), n)
-
-
-def _generate_blocks(model: GeneratorModel, z_blocks, n: int) -> np.ndarray:
-    """The forward of n noise rows given as blocks of at most BLOCK_ROWS."""
-    last = len(model.weights) - 1
-    out = np.empty((n, model.out_dim))
-    hidden = [np.empty((min(n, BLOCK_ROWS), w.shape[0])) for w in model.weights[:-1]]
-    start = 0
+def generate_blocks(model: GeneratorModel, z_blocks):
+    """generate's output for each noise block of at most BLOCK_ROWS rows, as
+    each block arrives, through per-layer buffers allocated at the first,
+    largest block; each output block is overwritten by the next."""
+    buffers = None
     for act in z_blocks:
         rows = act.shape[0]
-        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-            pre = out[start : start + rows] if i == last else hidden[i][:rows]
+        if buffers is None:
+            buffers = [np.empty((rows, w.shape[0])) for w in model.weights]
+        for w, b, buffer in zip(model.weights, model.biases, buffers):
+            pre = buffer[:rows]
             np.matmul(act, w.T, out=pre)
             pre += b
-            if i != last:
+            if buffer is not buffers[-1]:
                 np.tanh(pre, out=pre)
             act = pre
-        start += rows
-    return out
+        yield act
 
 
 def generator_backprop(
@@ -350,14 +343,6 @@ class TargetSpec:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_roots", tuple(roots))
 
-    @classmethod
-    def mixture(cls, means, covs, weights, sample_seed: int = 0) -> "TargetSpec":
-        return cls(means=means, covs=covs, weights=weights, sample_seed=sample_seed)
-
-    @classmethod
-    def from_file(cls, path: str) -> "TargetSpec":
-        return cls(path=path)
-
     @property
     def dim(self) -> int | None:
         return None if self.means is None else self.means.shape[1]
@@ -366,29 +351,32 @@ class TargetSpec:
 def sample_target(target: TargetSpec, count: int, purpose: str) -> np.ndarray:
     """Draw `count` rows from the target, deterministic per (target, purpose).
 
-    File targets are resampled with replacement; mixture targets draw
-    component indices from the weights, then Gaussian offsets.
+    File targets are resampled with replacement, so the whole file is read;
+    mixture targets draw component indices from the weights, then Gaussian
+    offsets. Both draw their uniforms and normals BLOCK_ROWS rows at a time,
+    from the counter windows of one whole draw, into the one output.
     """
     if count < 1:
         raise DataError(f"sample count must be >= 1, got {count}")
+    stream = SplitMix64(derive_seed("target-samples", purpose, target.sample_seed))
+    uniforms = stream.uniform_blocks(count, BLOCK_ROWS)
     if target.path is not None:
         rows = read_features(target.path)
-        stream = SplitMix64(derive_seed("target-samples", purpose, target.sample_seed))
-        idx = np.minimum(
-            (stream.uniforms(count) * rows.shape[0]).astype(np.int64),
-            rows.shape[0] - 1,
-        )
-        return rows[idx]
-    stream = SplitMix64(derive_seed("target-samples", purpose, target.sample_seed))
-    u = stream.uniforms(count)
-    comp = np.searchsorted(np.cumsum(target.weights), u, side="right")
-    comp = np.minimum(comp, target.means.shape[0] - 1)
-    eps = stream.normal_matrix(count, target.dim)
+        out = np.empty((count, rows.shape[1]))
+        for block, u in zip(row_blocks(out), uniforms):
+            idx = np.minimum((u * rows.shape[0]).astype(np.int64), rows.shape[0] - 1)
+            block[:] = rows[idx]
+        return out
+    cumulative = np.cumsum(target.weights)
     out = np.empty((count, target.dim))
-    for i in range(target.means.shape[0]):
-        mask = comp == i
-        if mask.any():
-            out[mask] = target.means[i] + eps[mask] @ target._roots[i].T
+    normals = stream.normal_blocks(count, target.dim, BLOCK_ROWS)
+    for block, u, eps in zip(row_blocks(out), uniforms, normals):
+        comp = np.searchsorted(cumulative, u, side="right")
+        comp = np.minimum(comp, cumulative.size - 1)
+        for i in range(cumulative.size):
+            mask = comp == i
+            if mask.any():
+                block[mask] = target.means[i] + eps[mask] @ target._roots[i].T
     return out
 
 
@@ -532,7 +520,8 @@ def _references(config: TrainConfig) -> list[ReferenceStats]:
             f"target rows have dim {rows.shape[1]}, generator produces "
             f"{config.out_dim}"
         )
-    return [make_reference(feature_stats(spec, rows)) for spec in config.ensemble.specs]
+    stats = split_stats(config.ensemble.specs, rows, "target rows")
+    return [make_reference(s) for s in stats]
 
 
 def _fresh_estimators(config: TrainConfig):
@@ -548,10 +537,8 @@ def _fresh_estimators(config: TrainConfig):
 def _eval_model(config, model, refs, stream) -> list[float]:
     """Large-sample per-representation distances for a model snapshot."""
     x = generate(model, stream.normal_matrix(config.effective_warm_start, config.z_dim))
-    x = check_rows(x, "generated samples")
-    return [
-        fd(ref, feature_stats(spec, x)) for spec, ref in zip(config.ensemble.specs, refs)
-    ]
+    stats = split_stats(config.ensemble.specs, x, "generated samples")
+    return [fd(ref, gen) for ref, gen in zip(refs, stats)]
 
 
 def post_train(

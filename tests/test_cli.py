@@ -127,6 +127,37 @@ class TestSample:
         assert Path(out).read_bytes() == Path(want).read_bytes()
 
 
+class TestFeatureSplits:
+    def fdr(self, workspace, out, val, gen):
+        argv = ["fdr", "--train", path(workspace, "train.bin"), "--val", *val,
+                "--gen", *gen, "--config", path(workspace, "run.cfg"), "--out", out]
+        return cli_dispatch(argv)
+
+    def test_two_files_score_as_their_concatenation(self, workspace):
+        # 5000 + 3000 rows: the second block spans the file boundary
+        target = load_config(path(workspace, "run.cfg")).train.target
+        splits = {}
+        for name in ("val", "gen"):
+            rows = sample_target(target, 8000, f"concat-{name}")
+            parts = [path(workspace, f"{name}{i}.bin") for i in range(3)]
+            write_features(parts[0], rows)
+            write_features(parts[1], rows[:5000])
+            write_features(parts[2], rows[5000:])
+            splits[name] = parts
+        one, two = path(workspace, "one.csv"), path(workspace, "two.csv")
+        assert self.fdr(workspace, one, splits["val"][:1], splits["gen"][:1]) == 0
+        assert self.fdr(workspace, two, splits["val"][1:], splits["gen"][1:]) == 0
+        assert Path(one).read_bytes() == Path(two).read_bytes()
+
+    def test_files_of_one_split_must_agree_on_dimension(self, workspace, capsys):
+        wide = path(workspace, "wide.bin")
+        write_features(wide, np.ones((10, 3)))
+        val = [path(workspace, "val.bin"), wide]
+        code = self.fdr(workspace, path(workspace, "r.csv"), val, val[:1])
+        assert code == 2
+        assert "disagree on dimension" in capsys.readouterr().err
+
+
 class TestDataErrors:
     def test_missing_file_is_exit_2(self, workspace):
         code = cli_dispatch(

@@ -275,6 +275,11 @@ class TestBuild:
             ({"peak_lr = 0.002": "peak_lr = 0"}, "peak_lr"),
             ({"z_dim = 4": "z_dim = 0"}, "z_dim"),
             ({"hidden = 16, 8": "hidden = 16, 0"}, "hidden"),
+            # the ensemble's in_dim is the generator's out_dim
+            ({"out_dim = 2": "out_dim = 0"}, r"trainer\.out_dim must be >= 1"),
+            ({"rep.1.seed = 9": "rep.1.seed = -1"}, r"ensemble\.rep\.1\.seed must"),
+            ({"rep.1.out_dim = 6": "rep.1.out_dim = 0"}, r"ensemble\.rep\.1\.out_dim must"),
+            ({"c = 0.02": "c = 0"}, r"ensemble\.c must be > 0"),
         ],
     )
     def test_out_of_range_values_name_their_field(self, edits, field):

@@ -180,7 +180,7 @@ class TestQueueRunningSums:
             ensemble=RepresentationEnsemble(
                 specs=(RepresentationSpec("tanh_rf", 1, 2, 16),)
             ),
-            target=TargetSpec.mixture(
+            target=TargetSpec(
                 means=[[0.0, 1.0]], covs=[np.eye(2)], weights=[1.0], sample_seed=2
             ),
             batch_size=b,

@@ -23,16 +23,18 @@ from fdopt.formats import (
     metrics_log_text,
     parse_report_csv,
     read_checkpoint,
+    read_feature_blocks,
     read_features,
     read_metrics_log,
     read_stats,
     write_checkpoint,
+    write_feature_blocks,
     write_features,
     write_metrics_log,
     write_report_csv,
     write_stats,
 )
-from fdopt.frechet import GaussianStats
+from fdopt.frechet import BLOCK_ROWS, GaussianStats
 
 
 def random_features(seed, n, d):
@@ -122,6 +124,79 @@ class TestFeatures:
         atomic_write_bytes(path, FEATURES_MAGIC + struct.pack("<II", 0, 3))
         with pytest.raises(DataError, match="empty matrix"):
             read_features(path)
+
+
+def raw_features(path, rows):
+    """A features file written byte by byte, non-finite entries included."""
+    rows = np.asarray(rows, dtype="<f4")
+    atomic_write_bytes(path, FEATURES_MAGIC + struct.pack("<II", *rows.shape) + rows.tobytes())
+
+
+class TestFeatureBlocks:
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 131_072])
+    def test_bytes_equal_numpy_layout(self, tmp_path, n):
+        path = str(tmp_path / "f.bin")
+        matrix = random_features(n, n, 3)
+        write_features(path, matrix)
+        header = FEATURES_MAGIC + np.array([n, 3], dtype="<u4").tobytes()
+        with open(path, "rb") as handle:
+            assert handle.read() == header + matrix.astype("<f4").tobytes()
+
+    def test_blocks_run_across_files(self, tmp_path):
+        rows = random_features(2, 8000, 2).astype(np.float32).astype(np.float64)
+        a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
+        write_features(a, rows[:5000])
+        write_features(b, rows[5000:])
+        blocks = list(read_feature_blocks([a, b]))
+        assert [block.shape[0] for block in blocks] == [BLOCK_ROWS, 8000 - BLOCK_ROWS]
+        assert all(block.dtype == np.float64 for block in blocks)
+        assert np.array_equal(np.concatenate(blocks), rows)
+
+    def test_non_finite_row_named_by_split_index(self, tmp_path):
+        rows = np.ones((8000, 2))
+        rows[4100, 1] = np.nan
+        whole = str(tmp_path / "whole.bin")
+        raw_features(whole, rows)
+        with pytest.raises(NonFiniteDataError, match="row 4100 "):
+            read_features(whole)
+        # the bad row is row 100 of the second file, row 4100 of the split
+        a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
+        raw_features(a, rows[:4000])
+        raw_features(b, rows[4000:])
+        with pytest.raises(NonFiniteDataError, match="row 4100 "):
+            list(read_feature_blocks([a, b]))
+
+    def test_headers_checked_before_any_payload(self, tmp_path):
+        # a's payload is non-finite, so reading it first would raise that
+        a, b, c = (str(tmp_path / name) for name in ("a.bin", "b.bin", "c.bin"))
+        raw_features(a, np.full((5, 2), np.nan))
+        write_features(b, np.ones((5, 3)))
+        with pytest.raises(DataError, match=r"disagree on dimension: \[2, 3\]"):
+            read_feature_blocks([a, b])
+        full = FEATURES_MAGIC + struct.pack("<II", 2, 2) + struct.pack("<4f", *range(4))
+        atomic_write_bytes(c, full[:-6])
+        with pytest.raises(TruncatedFileError, match="expected 28 bytes, file has 22"):
+            read_feature_blocks([a, c])
+
+    def test_non_finite_block_mid_write_leaves_no_file(self, tmp_path):
+        path = str(tmp_path / "f.bin")
+        bad = np.ones((BLOCK_ROWS, 2))
+        bad[7, 0] = np.inf
+        sent = []
+
+        def blocks():
+            for block in (np.ones((BLOCK_ROWS, 2)), bad, np.ones((BLOCK_ROWS, 2))):
+                sent.append(block)
+                yield block
+
+        with pytest.raises(NonFiniteDataError):
+            write_feature_blocks(path, (3 * BLOCK_ROWS, 2), blocks())
+        # the first block went to the temp file before the second failed
+        assert len(sent) == 2
+        assert os.listdir(tmp_path) == []
+        with pytest.raises(NonFiniteDataError):
+            write_features(path, np.concatenate([np.ones((BLOCK_ROWS, 2)), bad]))
+        assert os.listdir(tmp_path) == []
 
 
 class TestStats:

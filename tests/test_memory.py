@@ -1,4 +1,5 @@
-"""Memory guards: sampling and scoring stream fixed row blocks.
+"""Memory guards: target draws, sampling, feature files and scoring stream
+fixed row blocks.
 
 tracemalloc sees NumPy's array buffers, so the traced peak of a call is
 what it allocates beyond its inputs, which exist before tracing starts.
@@ -9,12 +10,12 @@ import tracemalloc
 import numpy as np
 
 from fdopt.cli import cli_dispatch
-from fdopt.formats import write_checkpoint
+from fdopt.formats import write_checkpoint, write_features
 from fdopt.frechet import feature_stats
 from fdopt.metrics import build_report
 from fdopt.representations import RepresentationEnsemble, RepresentationSpec
 from fdopt.rng import SplitMix64
-from fdopt.trainer import GeneratorModel, generate
+from fdopt.trainer import GeneratorModel, TargetSpec, generate, sample_target
 
 ROWS = 131_072
 MB = 2**20
@@ -65,4 +66,56 @@ def test_sample_peak_holds_no_full_noise_matrix(tmp_path):
     argv = ["sample", "--ckpt", ckpt, "--n", str(ROWS), "--out", str(tmp_path / "g.bin")]
     code, peak = traced_peak(cli_dispatch, argv)
     assert code == 0
-    assert peak < 10 * MB
+    # its two 4096 x 64 hidden buffers are 4 MB
+    assert peak < 6 * MB
+
+
+def mixture_target():
+    return TargetSpec(
+        means=[[-2.0, 0.0], [2.5, 1.0]],
+        covs=[np.diag([0.3, 0.2]), [[0.4, 0.1], [0.1, 0.3]]],
+        weights=[0.4, 0.6],
+        sample_seed=3,
+    )
+
+
+def test_sample_target_peak_is_output_plus_blocks():
+    # a whole draw would hold the n uniforms, component indices and normals
+    out, peak = traced_peak(sample_target, mixture_target(), ROWS, "memory")
+    assert out.shape == (ROWS, 2)
+    assert peak < out.nbytes + 1 * MB
+
+
+def test_compute_stats_peak_is_one_block(tmp_path):
+    features = str(tmp_path / "f.bin")
+    write_features(features, SplitMix64(3).normal_matrix(ROWS, 2))
+    argv = ["compute-stats", "--features", features, "--out", str(tmp_path / "f.stats")]
+    code, peak = traced_peak(cli_dispatch, argv)
+    assert code == 0
+    assert peak < 1 * MB
+
+
+def test_fdr_peak_is_flat_in_split_size(tmp_path):
+    # one 4096-row block in the 64-d space is 2 MB; a whole 524288-row split
+    # of raw samples is 8 MB, and featurized in that space 256 MB
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "[ensemble]\nrep.0.kind = identity\nrep.1.kind = quadratic\n"
+        "rep.2.kind = tanh_rf\nrep.2.seed = 1\nrep.2.out_dim = 64\n",
+        encoding="utf-8",
+    )
+    target = mixture_target()
+    train = str(tmp_path / "train.bin")
+    write_features(train, sample_target(target, 4096, "train"))
+    peaks = []
+    for rows in (ROWS, 4 * ROWS):
+        val, gen = str(tmp_path / f"val{rows}.bin"), str(tmp_path / f"gen{rows}.bin")
+        write_features(val, sample_target(target, rows, "val"))
+        write_features(gen, 0.1 + sample_target(target, rows, "gen"))
+        argv = ["fdr", "--train", train, "--val", val, "--gen", gen,
+                "--config", str(config), "--out", str(tmp_path / "report.csv")]
+        code, peak = traced_peak(cli_dispatch, argv)
+        assert code == 0
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) < 1 * MB
+    assert max(peaks) < 4 * MB

@@ -34,7 +34,7 @@ from oracles import (
 
 
 def two_mode_target(sample_seed=5):
-    return TargetSpec.mixture(
+    return TargetSpec(
         means=[[-2.0, 0.0], [2.5, 1.0]],
         covs=[np.diag([0.3, 0.2]), [[0.4, 0.1], [0.1, 0.3]]],
         weights=[0.4, 0.6],
@@ -201,7 +201,7 @@ class TestLrSchedule:
 class TestTargetSpec:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(DataError, match="sum"):
-            TargetSpec.mixture(
+            TargetSpec(
                 means=[[0.0], [1.0]],
                 covs=[np.eye(1), np.eye(1)],
                 weights=[0.5, 0.6],
@@ -209,7 +209,7 @@ class TestTargetSpec:
 
     def test_non_psd_covariance_rejected(self):
         with pytest.raises(DataError, match="PSD"):
-            TargetSpec.mixture(
+            TargetSpec(
                 means=[[0.0, 0.0]],
                 covs=[np.array([[1.0, 2.0], [2.0, 1.0]])],
                 weights=[1.0],
@@ -241,7 +241,7 @@ class TestTargetSpec:
         rows = SplitMix64(44).normal_matrix(50, 2)
         path = str(tmp_path / "rows.fdf")
         write_features(path, rows)
-        target = TargetSpec.from_file(path)
+        target = TargetSpec(path=path)
         drawn = sample_target(target, 200, "pretrain")
         assert drawn.shape == (200, 2)
         f32 = rows.astype(np.float32).astype(np.float64)
@@ -413,7 +413,7 @@ class TestPostTrain:
         # fixed-point sanity: a generator that already matches the target
         # should not be pushed away; the learning rate is kept small so
         # parameter drift stays below the evaluation noise floor
-        target = TargetSpec.mixture(
+        target = TargetSpec(
             means=[[0.0, 0.0]], covs=[np.eye(2)], weights=[1.0], sample_seed=9
         )
         cfg = TrainConfig(
@@ -551,14 +551,14 @@ class TestPostTrain:
 class TestPretrainRegression:
     def test_zero_steps_no_change(self):
         model = GeneratorModel.init([2, 4, 1], seed=1)
-        source = TargetSpec.mixture(
+        source = TargetSpec(
             means=[[0.0]], covs=[np.eye(1)], weights=[1.0]
         )
         same = pretrain_regression(model, source, steps=0)
         assert same is model
 
     def test_linear_map_learns_identity_transport(self):
-        source = TargetSpec.mixture(
+        source = TargetSpec(
             means=[[0.0]], covs=[np.eye(1)], weights=[1.0], sample_seed=2
         )
         model = GeneratorModel(
@@ -576,7 +576,7 @@ class TestPretrainRegression:
     def test_matches_least_squares_oracle(self):
         from fdopt.rng import derive_seed
 
-        source = TargetSpec.mixture(
+        source = TargetSpec(
             means=[[0.0]], covs=[np.eye(1)], weights=[1.0], sample_seed=2
         )
         model = GeneratorModel(
@@ -601,7 +601,7 @@ class TestPretrainRegression:
     def test_training_leaves_caller_model_intact(self):
         model = GeneratorModel.init([2, 4, 1], seed=1)
         before = model.theta.copy()
-        source = TargetSpec.mixture(means=[[0.0]], covs=[np.eye(1)], weights=[1.0])
+        source = TargetSpec(means=[[0.0]], covs=[np.eye(1)], weights=[1.0])
         trained = pretrain_regression(model, source, steps=5)
         assert model.theta.tobytes() == before.tobytes()
         assert trained.theta.tobytes() != before.tobytes()
@@ -619,7 +619,7 @@ class TestPretrainRegression:
 
         monkeypatch.setattr(trainer_module, "optimizer_step", recorded)
         model = GeneratorModel.init([2, 4, 1], seed=1)
-        source = TargetSpec.mixture(means=[[0.0]], covs=[np.eye(1)], weights=[1.0])
+        source = TargetSpec(means=[[0.0]], covs=[np.eye(1)], weights=[1.0])
         with pytest.raises(NonFiniteLossError, match="parameters at step 1$") as info:
             pretrain_regression(model, source, steps=20, lr=1e200)
         assert (info.value.quantity, info.value.label) == ("parameters", None)
@@ -630,6 +630,6 @@ class TestPretrainRegression:
 
     def test_source_generator_dim_mismatch(self):
         model = GeneratorModel.init([2, 4, 2], seed=1)
-        source = TargetSpec.mixture(means=[[0.0]], covs=[np.eye(1)], weights=[1.0])
+        source = TargetSpec(means=[[0.0]], covs=[np.eye(1)], weights=[1.0])
         with pytest.raises(DataError, match="dim"):
             pretrain_regression(model, source, steps=5)
