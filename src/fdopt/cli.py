@@ -85,6 +85,8 @@ def _cmd_fd(args) -> int:
     ref = make_reference(read_stats(args.ref))
     magic = _sniff_magic(args.gen)
     if magic == STATS_MAGIC:
+        if args.rep is not None:
+            raise UsageError(f"--rep maps a features file, but {args.gen} holds stats")
         gen_stats = read_stats(args.gen)
     elif magic == FEATURES_MAGIC:
         blocks = read_feature_blocks([args.gen])

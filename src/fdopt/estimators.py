@@ -57,11 +57,11 @@ import numpy as np
 from .errors import DataError
 from .frechet import (
     GaussianStats,
+    Moments,
     block_scatter,
     check_rows,
     merge_moments,
-    population_scatter,
-    population_stats,
+    row_blocks,
 )
 
 __all__ = [
@@ -157,7 +157,7 @@ def warm_start(state, samples: np.ndarray):
         raise DataError(f"unknown estimator type {type(state).__name__}")
     samples = check_rows(samples, "warm-start samples", state.dim)
     if isinstance(state, EmaState):
-        stats = population_stats(samples)
+        stats = Moments(row_blocks(samples)).stats()
         state.mu, state.sigma = stats.mu, stats.sigma
         return state
     if samples.shape[0] < state.capacity:
@@ -190,7 +190,8 @@ def _require_warm(state) -> None:
 
 def _rebuild(q: QueueState) -> None:
     """Rebuild the sums exactly from the stored rows, about their mean."""
-    _, q.shift, q.s2 = population_scatter(q.buffer)
+    moments = Moments(row_blocks(q.buffer))
+    q.shift, q.s2 = moments.mu, moments.scatter
     # S1 = 0: c is the rows' mean. Its rounding error, that of any computed
     # mean, reaches sigma only through m m^T as the rows drift from c
     q.s1 = np.zeros(q.dim)
@@ -236,7 +237,7 @@ def estimate(state, batch: np.ndarray) -> GaussianStats:
     b = batch.shape[0]
     a, weight = state.history(b)
     _, mu_b, sigma = block_scatter(batch)
-    # divided by B as population_stats does, so that a = 0 gives the batch's
+    # divided by B as Moments.stats does, so that a = 0 gives the batch's
     # own statistics bit for bit
     sigma /= b
     sigma *= 1.0 - a

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NonFiniteDataError, NumericalError
-from .representations import RepresentationSpec, featurize
+from .representations import featurize
 from .symlin import check_symmetric, congruence_eig, sqrt_psd
 
 log = logging.getLogger("fdopt.frechet")
@@ -133,16 +133,11 @@ def stats_from_features(features: np.ndarray) -> GaussianStats:
     return Moments(row_blocks(check_rows(features, "features"))).stats()
 
 
-def feature_stats(spec: RepresentationSpec, samples) -> GaussianStats:
-    """stats_from_features(featurize(spec, samples)), as split_stats takes it."""
-    return split_stats([spec], samples, "samples")[0]
-
-
 def split_stats(specs, split, what: str) -> list[GaussianStats]:
-    """[feature_stats(spec, split) for spec in specs] in one pass over a split
-    given as an n x in_dim matrix or as an iterable of row blocks. Each block
-    is checked, naming a bad row by its index in the split, then featurized
-    in every space and folded into that space's moments."""
+    """[stats_from_features(featurize(spec, split)) for spec in specs], in one
+    pass over a split given as an n x in_dim matrix or an iterable of row
+    blocks. Each block is checked, naming a bad row by its index in the
+    split, then featurized in every space and folded into its moments."""
     if isinstance(split, np.ndarray):
         split = row_blocks(split)
     sums = [Moments() for _ in specs]
@@ -153,19 +148,6 @@ def split_stats(specs, split, what: str) -> list[GaussianStats]:
     if not sums[0].n:
         raise DataError(f"{what} has no rows")
     return [moments.stats() for moments in sums]
-
-
-def population_stats(features: np.ndarray) -> GaussianStats:
-    """stats_from_features for a finite float64 n x d matrix, unchecked."""
-    return _stats(*population_scatter(features))
-
-
-def population_scatter(features: np.ndarray):
-    """(n, mu, S) of a finite float64 n x d matrix, unchecked: its row count,
-    column mean and centred scatter S = sum_i (x_i - mu)(x_i - mu)^T, so that
-    population_stats has sigma = S / n."""
-    moments = Moments(row_blocks(features))
-    return moments.n, moments.mu, moments.scatter
 
 
 def row_blocks(rows: np.ndarray):
@@ -197,9 +179,9 @@ class Moments:
         self.n = total
 
     def stats(self) -> GaussianStats:
-        """The population stats, checked: finite rows can overflow them."""
-        stats = _stats(self.n, self.mu, self.scatter)
-        return GaussianStats(stats.mu, stats.sigma, stats.weight)
+        """The stats, sigma = S / n, checked: finite rows can overflow them."""
+        sigma = self.scatter / self.n
+        return GaussianStats(self.mu, 0.5 * (sigma + sigma.T), float(self.n))
 
 
 def block_scatter(block: np.ndarray, owned: bool = False):
@@ -220,11 +202,6 @@ def merge_moments(mu_a, s_a, mu_b, s_b, frac_b: float, cross: float):
     s_a += s_b
     s_a += np.outer(delta, delta * cross)
     return mu_a + delta * frac_b, s_a
-
-
-def _stats(n: int, mu: np.ndarray, scatter: np.ndarray) -> GaussianStats:
-    sigma = scatter / n
-    return GaussianStats.unchecked(mu, 0.5 * (sigma + sigma.T), float(n))
 
 
 def fd(ref: ReferenceStats, gen: GaussianStats) -> float:

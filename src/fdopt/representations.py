@@ -73,10 +73,6 @@ class RepresentationSpec:
                 f"{quadratic_out_dim(self.in_dim)}, got {self.out_dim}"
             )
 
-    @property
-    def label(self) -> str:
-        return f"{self.kind}_{self.out_dim}d_s{self.seed}"
-
 
 @lru_cache(maxsize=64)
 def _frozen_params(spec: RepresentationSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +100,7 @@ def rep_params(spec: RepresentationSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def featurize(spec: RepresentationSpec, samples: np.ndarray) -> np.ndarray:
     """Features of a finite float64 B x in_dim matrix, which the caller has
-    checked (feature_stats is the checked entry)."""
+    checked (split_stats is the checked entry)."""
     if spec.kind == "identity":
         return samples.copy()
     if spec.kind == "quadratic":

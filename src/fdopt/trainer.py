@@ -151,13 +151,23 @@ class GeneratorModel:
         return model
 
 
-def _forward(model: GeneratorModel, z: np.ndarray) -> list[np.ndarray]:
-    """Per-layer activations [a_0 = z, a_1, ..., a_L]; hidden use tanh."""
+def _buffers(model: GeneratorModel, rows: int) -> list[np.ndarray]:
+    """One rows x width activation buffer per layer, for _forward."""
+    return [np.empty((rows, w.shape[0])) for w in model.weights]
+
+
+def _forward(model: GeneratorModel, z: np.ndarray, buffers: list) -> list[np.ndarray]:
+    """Per-layer activations [a_0 = z, a_1, ..., a_L]; hidden use tanh.
+    Layer l is written into the first z.shape[0] rows of buffers[l], so the
+    next call through the same buffers overwrites them."""
     acts = [z]
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        pre = acts[-1] @ w.T + b
-        acts.append(pre if i == last else np.tanh(pre))
+    for w, b, buffer in zip(model.weights, model.biases, buffers):
+        pre = buffer[: z.shape[0]]
+        np.matmul(acts[-1], w.T, out=pre)
+        pre += b
+        if buffer is not buffers[-1]:
+            np.tanh(pre, out=pre)
+        acts.append(pre)
     return acts
 
 
@@ -171,10 +181,8 @@ def _check_z(model: GeneratorModel, z: np.ndarray) -> np.ndarray:
 
 
 def generate(model: GeneratorModel, z: np.ndarray) -> np.ndarray:
-    """Generator samples for the noise rows z: _forward's output, computed
-    BLOCK_ROWS rows at a time through per-layer buffers allocated once, so
-    only the n x out_dim output grows with n. Training keeps _forward,
-    whose activations backprop needs."""
+    """Generator samples for the noise rows z, computed BLOCK_ROWS rows at a
+    time by generate_blocks, so only the n x out_dim output grows with n."""
     z = _check_z(model, z)
     out = np.empty((z.shape[0], model.out_dim))
     for dest, block in zip(row_blocks(out), generate_blocks(model, row_blocks(z))):
@@ -184,21 +192,13 @@ def generate(model: GeneratorModel, z: np.ndarray) -> np.ndarray:
 
 def generate_blocks(model: GeneratorModel, z_blocks):
     """generate's output for each noise block of at most BLOCK_ROWS rows, as
-    each block arrives, through per-layer buffers allocated at the first,
+    each block arrives, through layer buffers allocated at the first,
     largest block; each output block is overwritten by the next."""
     buffers = None
-    for act in z_blocks:
-        rows = act.shape[0]
+    for z in z_blocks:
         if buffers is None:
-            buffers = [np.empty((rows, w.shape[0])) for w in model.weights]
-        for w, b, buffer in zip(model.weights, model.biases, buffers):
-            pre = buffer[:rows]
-            np.matmul(act, w.T, out=pre)
-            pre += b
-            if buffer is not buffers[-1]:
-                np.tanh(pre, out=pre)
-            act = pre
-        yield act
+            buffers = _buffers(model, z.shape[0])
+        yield _forward(model, z, buffers)[-1]
 
 
 def generator_backprop(
@@ -260,13 +260,16 @@ class _Fit:
     """A generator under AdamW, shared by post_train and pretrain_regression.
 
     Each update makes a new parameter vector, so the previous model stays
-    intact.
+    intact. buffers hold the activations of one batch of `rows` rows, for
+    _forward; a step uses them before the next step's forward overwrites
+    them. hyper is AdamW's (beta1, beta2, weight decay).
     """
 
-    def __init__(self, model: GeneratorModel, beta1: float, beta2: float, decay: float):
+    def __init__(self, model: GeneratorModel, rows: int, *hyper: float):
         self.model = model
+        self.buffers = _buffers(model, rows)
         self.opt = OptState.empty(model.theta.size)
-        self.hyper = (beta1, beta2, decay)
+        self.hyper = hyper
 
     def update(self, acts, sample_grads: np.ndarray, lr: float, step: int) -> None:
         """Backprop through the forward's activations, then one AdamW step."""
@@ -578,13 +581,13 @@ def post_train(
         TrainRecord("warm_start", 0, 0.0, warm_loss, tuple(warm_fds))
     )
 
-    fit = _Fit(model, config.beta1, config.beta2, config.weight_decay)
+    fit = _Fit(model, config.batch_size, config.beta1, config.beta2, config.weight_decay)
     noise = SplitMix64(derive_seed("train-noise", config.seed))
     reps = list(zip(config.ensemble.specs, refs, log.labels))
     for step in range(config.total_steps):
         lr = lr_at(step, config)
         z = noise.normal_matrix(config.batch_size, config.z_dim)
-        acts = _forward(fit.model, z)
+        acts = _forward(fit.model, z, fit.buffers)
         x = acts[-1]
         # divergence surfaces first as non-finite samples or feature moments,
         # before the bounded normalized loss itself goes NaN
@@ -679,6 +682,8 @@ def pretrain_regression(
     """
     if steps < 0:
         raise DataError(f"steps must be >= 0, got {steps}")
+    if batch_size < 1:
+        raise DataError(f"batch_size must be >= 1, got {batch_size}")
     if steps == 0:
         return model
     stream = SplitMix64(derive_seed("pretrain", seed))
@@ -695,14 +700,14 @@ def pretrain_regression(
     zs = zs[_transport_order(zs[:, :lead])]
     ys = ys[_transport_order(ys)]
 
-    fit = _Fit(model, 0.9, 0.999, 0.0)
+    fit = _Fit(model, batch_size, 0.9, 0.999, 0.0)
     for step in range(steps):
         idx = np.minimum(
             (stream.uniforms(batch_size) * pair_count).astype(np.int64),
             pair_count - 1,
         )
         z, y = zs[idx], ys[idx]
-        acts = _forward(fit.model, z)
+        acts = _forward(fit.model, z, fit.buffers)
         sample_grads = 2.0 * (acts[-1] - y) / batch_size
         fit.update(acts, sample_grads, lr, step)
     return fit.model

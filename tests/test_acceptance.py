@@ -47,6 +47,7 @@ from fdopt.rng import SplitMix64
 from fdopt.symlin import congruence_eig, sqrt_psd
 from fdopt.trainer import (
     GeneratorModel,
+    _buffers,
     _forward,
     generate,
     generator_backprop,
@@ -226,7 +227,7 @@ def test_gradient_suite(criterion):
                 probe = GeneratorModel.unchecked(model.layer_dims, flat)
                 return float(np.sum(out_weights * generate(probe, z)))
 
-            got = generator_backprop(model, _forward(model, z), out_weights)
+            got = generator_backprop(model, _forward(model, z, _buffers(model, B)), out_weights)
             num = central_difference(scalar_params, model.theta)
             assert relative_error(got, num) < 1e-4, i
 
@@ -277,7 +278,7 @@ def _check_end_to_end_instance(seed: int) -> None:
         _, grad = fd_with_grad(ref, stats)
         feat_grads = backprop_estimate(state, feats, stats.mu, grad.d_mu, grad.d_sigma)
         sample_grads += scale * featurize_backprop(spec, samples, feats, feat_grads)
-    got = generator_backprop(model, _forward(model, z), sample_grads)
+    got = generator_backprop(model, _forward(model, z, _buffers(model, B)), sample_grads)
 
     # probe the loss with the stop-gradient denominators held at base values
     denominators = base_fds + ensemble.c

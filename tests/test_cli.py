@@ -296,6 +296,23 @@ class TestComputeStatsAndFd:
         want = fd(make_reference(read_stats(stats_path)), stats_from_features(val_feat))
         assert printed == f"{want:.6f}"
 
+    def test_fd_rep_with_stats_gen_is_exit_1(self, workspace, capsys):
+        # a stats file is already in some space; --rep cannot map it
+        single = workspace / "single.cfg"
+        single.write_text(
+            "[ensemble]\nrep.0.kind = tanh_rf\nrep.0.seed = 1\nrep.0.out_dim = 8\n",
+            encoding="utf-8",
+        )
+        out = path(workspace, "train.stats")
+        cli_dispatch(
+            ["compute-stats", "--features", path(workspace, "train.bin"), "--out", out]
+        )
+        code = cli_dispatch(["fd", "--ref", out, "--gen", out, "--rep", str(single)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--rep" in captured.err
+
     def test_fd_rep_rejects_multi_rep_config(self, workspace, capsys):
         stats_path = path(workspace, "train.stats")
         cli_dispatch(

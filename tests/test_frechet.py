@@ -10,8 +10,8 @@ from fdopt.frechet import (
     GaussianStats,
     fd,
     fd_with_grad,
-    feature_stats,
     make_reference,
+    split_stats,
     stats_from_features,
 )
 from fdopt.representations import RepresentationSpec, featurize
@@ -195,7 +195,7 @@ class TestBlockedMoments:
     def test_feature_stats_matches_numpy_oracle_in_tanh_space(self):
         spec = RepresentationSpec("tanh_rf", 1, 2, 64)
         samples = SplitMix64(92).normal_matrix(BLOCKED_ROWS, 2)
-        stats = feature_stats(spec, samples)
+        stats = split_stats([spec], samples, "samples")[0]
         mu, cov = population_stats_oracle(featurize(spec, samples))
         assert stats.weight == BLOCKED_ROWS
         assert relative_error(stats.mu, mu) < 1e-12
@@ -219,7 +219,7 @@ class TestBlockedMoments:
     def test_feature_stats_checks_sample_width(self):
         spec = RepresentationSpec("tanh_rf", 1, 2, 8)
         with pytest.raises(DataError, match="n x 2"):
-            feature_stats(spec, np.ones((5, 3)))
+            split_stats([spec], np.ones((5, 3)), "samples")
 
 
 class TestGaussianStats:

@@ -11,7 +11,7 @@ import numpy as np
 
 from fdopt.cli import cli_dispatch
 from fdopt.formats import write_checkpoint, write_features
-from fdopt.frechet import feature_stats
+from fdopt.frechet import split_stats
 from fdopt.metrics import build_report
 from fdopt.representations import RepresentationEnsemble, RepresentationSpec
 from fdopt.rng import SplitMix64
@@ -51,7 +51,7 @@ def test_build_report_peak_is_independent_of_split_size():
     train = stream.normal_matrix(4096, 2)
     val = stream.normal_matrix(ROWS, 2)
     gen = 0.1 + stream.normal_matrix(ROWS, 2)
-    train_stats = [feature_stats(spec, train) for spec in specs]
+    train_stats = [split_stats([spec], train, "train")[0] for spec in specs]
     report, peak = traced_peak(build_report, ensemble, train_stats, val, gen)
     assert np.isfinite(report.fdr_k)
     assert peak < 16 * MB

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdopt.errors import DataError
-from fdopt.frechet import feature_stats
+from fdopt.frechet import split_stats
 from fdopt.representations import (
     RepresentationEnsemble,
     RepresentationSpec,
@@ -96,9 +96,9 @@ class TestFeaturize:
         assert a.tobytes() == b.tobytes()
 
     def test_dimension_mismatch(self):
-        # featurize trusts its caller; feature_stats is the checked entry
+        # featurize trusts its caller; split_stats is the checked entry
         with pytest.raises(DataError, match="samples"):
-            feature_stats(spec_of("affine", n=2), np.zeros((4, 3)))
+            split_stats([spec_of("affine", n=2)], np.zeros((4, 3)), "samples")
 
     def test_parameterless_kinds_have_no_params(self):
         with pytest.raises(DataError, match="no drawn parameters"):

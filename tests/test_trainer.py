@@ -16,6 +16,7 @@ from fdopt.trainer import (
     OptState,
     TargetSpec,
     TrainConfig,
+    _buffers,
     _forward,
     generate,
     generator_backprop,
@@ -71,10 +72,12 @@ class TestGeneratorModel:
     def test_blocked_generate_equals_one_forward(self):
         model = GeneratorModel.init([8, 64, 64, 2], seed=3)
         z = SplitMix64(4).normal_matrix(32 * BLOCK_ROWS, 8)
-        assert generate(model, z).tobytes() == _forward(model, z)[-1].tobytes()
+        whole = _forward(model, z, _buffers(model, len(z)))[-1]
+        assert generate(model, z).tobytes() == whole.tobytes()
         # a 1-row tail block may take BLAS's matrix-vector path
         ragged = z[: BLOCK_ROWS + 1]
-        assert relative_error(generate(model, ragged), _forward(model, ragged)[-1]) < 1e-12
+        one = _forward(model, ragged, _buffers(model, len(ragged)))[-1]
+        assert relative_error(generate(model, ragged), one) < 1e-12
 
     def test_init_deterministic(self):
         a = GeneratorModel.init([4, 8, 2], seed=7)
@@ -113,7 +116,7 @@ class TestGeneratorBackprop:
     def test_zero_grads(self):
         model = GeneratorModel.init([3, 4, 2], seed=5)
         z = SplitMix64(6).normal_matrix(4, 3)
-        grads = generator_backprop(model, _forward(model, z), np.zeros((4, 2)))
+        grads = generator_backprop(model, _forward(model, z, _buffers(model, len(z))), np.zeros((4, 2)))
         assert grads.shape == model.theta.shape
         assert np.allclose(grads, 0.0)
 
@@ -121,7 +124,7 @@ class TestGeneratorBackprop:
         model = GeneratorModel(weights=(np.zeros((2, 3)),), biases=(np.zeros(2),))
         z = np.array([[1.0, 2.0, 3.0]])
         g = np.array([[4.0, 5.0]])
-        grads = generator_backprop(model, _forward(model, z), g)
+        grads = generator_backprop(model, _forward(model, z, _buffers(model, len(z))), g)
         assert np.allclose(grads[:6].reshape(2, 3), np.outer(g[0], z[0]))
         assert np.allclose(grads[6:], g[0])
 
@@ -129,7 +132,7 @@ class TestGeneratorBackprop:
         model = GeneratorModel.init([3, 5, 4, 2], seed=21)
         z = SplitMix64(22).normal_matrix(6, 3)
         probe = SplitMix64(23).normal_matrix(6, 2)
-        analytic = generator_backprop(model, _forward(model, z), probe)
+        analytic = generator_backprop(model, _forward(model, z, _buffers(model, len(z))), probe)
 
         def loss_of(flat):
             out = generate(GeneratorModel.unchecked(model.layer_dims, flat), z)
@@ -282,7 +285,7 @@ def frozen_chain(config, model, refs, states, z):
             scales[i] * grads[i].d_sigma,
         )
         sample_grads += featurize_backprop(spec, x, feats[i], fg)
-    return np.array(fds), generator_backprop(model, _forward(model, z), sample_grads)
+    return np.array(fds), generator_backprop(model, _forward(model, z, _buffers(model, len(z))), sample_grads)
 
 
 def reference_post_train(config):
@@ -352,7 +355,7 @@ def reference_post_train(config):
             )
             sample_grads += featurize_backprop(spec, x, featurize(spec, x), feat_grads)
         opt, theta = optimizer_step(
-            opt, model.theta, generator_backprop(model, _forward(model, z), sample_grads),
+            opt, model.theta, generator_backprop(model, _forward(model, z, _buffers(model, len(z))), sample_grads),
             lr, config.beta1, config.beta2, config.weight_decay,
         )
         model = GeneratorModel.unchecked(model.layer_dims, theta)
@@ -514,11 +517,12 @@ class TestPostTrain:
         assert model.theta.tobytes() == want_model.theta.tobytes()
         # one estimator pass per representation per step; one generator
         # forward, one backward and one update per step, and the warm-start
-        # and final evaluations each sample through the blocked generate
+        # and final evaluations each sample through the blocked generate,
+        # one forward per block (a 64-row evaluation is one block)
         steps, reps = cfg.total_steps, len(cfg.ensemble)
         assert counts == {
             "estimate": steps * reps,
-            "_forward": steps,
+            "_forward": steps + 2,
             "generate": 2,
             "generator_backprop": steps,
             "optimizer_step": steps,
@@ -556,6 +560,13 @@ class TestPretrainRegression:
         )
         same = pretrain_regression(model, source, steps=0)
         assert same is model
+
+    def test_batch_size_below_one_rejected(self):
+        # a zero-row batch would take steps zero-gradient updates silently
+        model = GeneratorModel.init([2, 4, 1], seed=1)
+        source = TargetSpec(means=[[0.0]], covs=[np.eye(1)], weights=[1.0])
+        with pytest.raises(DataError, match="batch_size"):
+            pretrain_regression(model, source, steps=3, batch_size=0)
 
     def test_linear_map_learns_identity_transport(self):
         source = TargetSpec(
