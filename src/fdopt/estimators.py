@@ -39,18 +39,18 @@ number of rows pushed, so runs stay deterministic. Shifting by c keeps
 m m^T small next to the scatter, so the subtraction does not cancel when
 the features sit far from the origin.
 
-The caller owns a state: warm_start and commit_estimate update it in place
-and return it, and the state must not be read as it was before its commit.
+A state is built from warm-start samples, so its summary always exists:
+QueueState(capacity, samples) fills the ring with the last capacity rows
+and EmaState(beta, samples) summarizes all of them. The caller owns a
+state, and its commit updates it in place.
 
-Inputs are checked where they enter: at warm_start, the state constructors
-and the trainer's config. estimate, backprop_estimate and commit_estimate
-are the training loop's kernels; they take a finite B x d batch of the
-state's dimension and check only that the state was warm-started.
+Inputs are checked where they enter: at the state constructors and the
+trainer's config. estimate, backprop_estimate and commit are the training
+loop's kernels; they take a finite B x d batch of the state's dimension
+and check nothing again.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,125 +67,94 @@ from .frechet import (
 __all__ = [
     "QueueState",
     "EmaState",
-    "queue_contents",
-    "warm_start",
     "held_stats",
     "estimate",
     "backprop_estimate",
-    "commit_estimate",
 ]
 
 
-@dataclass(eq=False)
 class QueueState:
-    """FIFO ring of the most recent generated feature rows.
+    """FIFO ring of the most recent generated feature rows, filled with the
+    last capacity rows of the warm-start samples (at least that many).
 
     buffer holds capacity rows and cursor points at the oldest one (the next
     write slot). shift, s1 and s2 are the running sums of the stored rows
     (see the module docstring), and pushed counts the rows committed since
-    they were last rebuilt. mu and sigma summarize the stored rows; they
-    are None until warm_start fills the ring.
+    they were last rebuilt. mu and sigma summarize the stored rows.
     """
 
-    buffer: np.ndarray
-    cursor: int = 0
-    shift: np.ndarray | None = None
-    s1: np.ndarray | None = None
-    s2: np.ndarray | None = None
-    pushed: int = 0
-    mu: np.ndarray | None = None
-    sigma: np.ndarray | None = None
+    def __init__(self, capacity: int, samples: np.ndarray):
+        if capacity < 1:
+            raise DataError(f"queue capacity must be >= 1, got {capacity}")
+        samples = check_rows(samples, "warm-start samples")
+        if samples.shape[0] < capacity:
+            raise DataError(
+                f"queue warm start needs >= {capacity} rows, got {samples.shape[0]}"
+            )
+        self.buffer = samples[-capacity:].copy()
+        self.cursor = 0
+        _rebuild(self)
 
     @property
     def capacity(self) -> int:
         return self.buffer.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.buffer.shape[1]
-
-    @classmethod
-    def empty(cls, capacity: int, dim: int) -> "QueueState":
-        if capacity < 1 or dim < 1:
-            raise DataError(
-                f"queue needs capacity >= 1 and dim >= 1, got ({capacity}, {dim})"
-            )
-        return cls(np.zeros((capacity, dim)))
 
     def history(self, b: int) -> tuple[float, float]:
         """(history fraction, row count) of the merge with b batch rows."""
         n = self.capacity
         return n / (n + b), float(n + b)
 
+    def commit(self, batch: np.ndarray, stats: GaussianStats) -> None:
+        """Overwrite the B oldest rows with the batch (stats is not needed).
+        The sums lose the evicted rows and gain the pushed ones, or are
+        rebuilt once a capacity's worth of rows has been pushed since the
+        last rebuild."""
+        b = batch.shape[0]
+        slots = (self.cursor + np.arange(b)) % self.capacity
+        self.cursor = (self.cursor + b) % self.capacity
+        self.pushed += b
+        if self.pushed >= self.capacity:
+            self.buffer[slots] = batch
+            _rebuild(self)
+            return
+        evicted = self.buffer[slots] - self.shift
+        added = batch - self.shift
+        self.buffer[slots] = batch
+        self.s1 = self.s1 + added.sum(axis=0) - evicted.sum(axis=0)
+        self.s2 += added.T @ added
+        self.s2 -= evicted.T @ evicted
+        _summarize(self)
 
-@dataclass(eq=False)
+
 class EmaState:
-    """Exponential moving summary: each commit keeps the merge of the
-    previous summary (fraction beta) with the batch. mu and sigma are None
-    until warm_start."""
+    """Exponential moving summary, first the mean and covariance of the
+    warm-start samples: each commit keeps the merge of the previous summary
+    (fraction beta) with the batch."""
 
-    beta: float
-    dim: int
-    mu: np.ndarray | None = None
-    sigma: np.ndarray | None = None
-
-    @classmethod
-    def empty(cls, beta: float, dim: int) -> "EmaState":
+    def __init__(self, beta: float, samples: np.ndarray):
         if not (0.0 <= beta < 1.0):
             raise DataError(f"beta must lie in [0, 1), got {beta}")
-        if dim < 1:
-            raise DataError(f"dim must be >= 1, got {dim}")
-        return cls(float(beta), dim)
+        self.beta = float(beta)
+        stats = Moments(row_blocks(check_rows(samples, "warm-start samples"))).stats()
+        self.mu, self.sigma = stats.mu, stats.sigma
 
     def history(self, b: int) -> tuple[float, float]:
         """(history fraction, effective mass 1/(1-beta) in batches)."""
         return self.beta, 1.0 / (1.0 - self.beta)
 
-
-def queue_contents(q: QueueState) -> np.ndarray:
-    """Stored rows, oldest first."""
-    return q.buffer[(q.cursor + np.arange(q.capacity)) % q.capacity]
-
-
-def warm_start(state, samples: np.ndarray):
-    """Fill a state from base-model samples; returns the state.
-
-    Queue: the most recent `capacity` rows fill the ring (requires at least
-    that many). EMA: the summary becomes the mean and covariance of all rows.
-    """
-    if not isinstance(state, (QueueState, EmaState)):
-        raise DataError(f"unknown estimator type {type(state).__name__}")
-    samples = check_rows(samples, "warm-start samples", state.dim)
-    if isinstance(state, EmaState):
-        stats = Moments(row_blocks(samples)).stats()
-        state.mu, state.sigma = stats.mu, stats.sigma
-        return state
-    if samples.shape[0] < state.capacity:
-        raise DataError(
-            f"queue warm start needs >= {state.capacity} rows, got {samples.shape[0]}"
-        )
-    state.buffer[:] = samples[-state.capacity :]
-    state.cursor = 0
-    _rebuild(state)
-    return state
+    def commit(self, batch: np.ndarray, stats: GaussianStats) -> None:
+        """Keep the step's merged statistics as the summary (the batch is
+        already in them)."""
+        self.mu, self.sigma = stats.mu, stats.sigma
 
 
 def held_stats(state) -> GaussianStats:
-    """Statistics of a warm state's history summary: those of a queue's
-    stored rows, or the EMA's running summary."""
-    _require_warm(state)
+    """Statistics of a state's history summary: those of a queue's stored
+    rows, or the EMA's running summary."""
     # with no batch rows the merge is the history itself
     _, weight = state.history(0)
     # validated: finite rows can still overflow the covariance
     return GaussianStats(state.mu, state.sigma, weight)
-
-
-def _require_warm(state) -> None:
-    if state.mu is None:
-        raise DataError(
-            f"{type(state).__name__} holds no history; call warm_start before "
-            "computing statistics"
-        )
 
 
 def _rebuild(q: QueueState) -> None:
@@ -194,7 +163,7 @@ def _rebuild(q: QueueState) -> None:
     q.shift, q.s2 = moments.mu, moments.scatter
     # S1 = 0: c is the rows' mean. Its rounding error, that of any computed
     # mean, reaches sigma only through m m^T as the rows drift from c
-    q.s1 = np.zeros(q.dim)
+    q.s1 = np.zeros_like(q.shift)
     q.pushed = 0
     _summarize(q)
 
@@ -205,27 +174,6 @@ def _summarize(q: QueueState) -> None:
     q.mu, q.sigma = q.shift + m, 0.5 * (sigma + sigma.T)
 
 
-def _queue_push(q: QueueState, batch: np.ndarray) -> None:
-    """Overwrite the B oldest rows with the batch. The sums lose the evicted
-    rows and gain the pushed ones, or are rebuilt once a capacity's worth of
-    rows has been pushed since the last rebuild."""
-    b = batch.shape[0]
-    slots = (q.cursor + np.arange(b)) % q.capacity
-    q.cursor = (q.cursor + b) % q.capacity
-    q.pushed += b
-    if q.pushed >= q.capacity:
-        q.buffer[slots] = batch
-        _rebuild(q)
-        return
-    evicted = q.buffer[slots] - q.shift
-    added = batch - q.shift
-    q.buffer[slots] = batch
-    q.s1 = q.s1 + added.sum(axis=0) - evicted.sum(axis=0)
-    q.s2 += added.T @ added
-    q.s2 -= evicted.T @ evicted
-    _summarize(q)
-
-
 # ---------------------------------------------------------------------------
 # kernels: one pass per featurized batch, on inputs the caller has checked
 
@@ -233,7 +181,6 @@ def _queue_push(q: QueueState, batch: np.ndarray) -> None:
 def estimate(state, batch: np.ndarray) -> GaussianStats:
     """Statistics entering the distance: the state's history summary merged
     with the moments of a finite B x d batch (see the module docstring)."""
-    _require_warm(state)
     b = batch.shape[0]
     a, weight = state.history(b)
     _, mu_b, sigma = block_scatter(batch)
@@ -256,13 +203,3 @@ def backprop_estimate(
     b = batch.shape[0]
     scale = (1.0 - state.history(b)[0]) / b
     return scale * (d_mu + 2.0 * (batch - mu) @ d_sigma)
-
-
-def commit_estimate(state, batch: np.ndarray, stats: GaussianStats):
-    """The state after the step, updated in place: the batch pushed into the
-    queue, or the merged statistics kept as the EMA's summary."""
-    if isinstance(state, QueueState):
-        _queue_push(state, batch)
-    else:
-        state.mu, state.sigma = stats.mu, stats.sigma
-    return state

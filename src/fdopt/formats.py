@@ -273,26 +273,6 @@ def write_report_csv(report, path: str) -> None:
         raise NumericalError(f"failed writing report to {path}: {exc}") from exc
 
 
-def parse_report_csv(text: str):
-    """Parse a report CSV back into ([(name, fd_gen, fd_val, ratio)], fdr_k)."""
-    lines = text.strip().split("\n")
-    if not lines or lines[0] != "rep,fd_gen,fd_val,fdr":
-        raise DataError("report CSV missing expected header")
-    rows = []
-    fdr_k = None
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != 4:
-            raise DataError(f"malformed report row: {line!r}")
-        if cells[0] == "FDRK":
-            fdr_k = float(cells[3])
-        else:
-            rows.append((cells[0], float(cells[1]), float(cells[2]), float(cells[3])))
-    if fdr_k is None:
-        raise DataError("report CSV missing FDRK row")
-    return rows, fdr_k
-
-
 def metrics_log_text(labels, rows) -> str:
     """CSV text for a training log.
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .frechet import ReferenceStats, fd, make_reference, split_stats
+from .frechet import fd, make_reference, split_stats
 from .representations import RepresentationEnsemble
 
 __all__ = [
@@ -87,12 +87,12 @@ def build_report(
 ) -> FdrReport:
     """Assemble per-representation ratios against shared train statistics.
 
-    train_stats holds one GaussianStats (or ReferenceStats) per
-    representation, in ensemble order and in that representation's feature
-    space. val_split and gen_split hold raw samples, each a matrix or an
-    iterable of row blocks (a features file's, say), featurized here so that
-    all three populations go through identical maps; split_stats reads each
-    split once, a block at a time.
+    train_stats holds one GaussianStats per representation, in ensemble
+    order and in that representation's feature space. val_split and
+    gen_split hold raw samples, each a matrix or an iterable of row blocks
+    (a features file's, say), featurized here so that all three populations
+    go through identical maps; split_stats reads each split once, a block at
+    a time.
     """
     if len(train_stats) != len(ensemble):
         raise DataError(
@@ -101,13 +101,12 @@ def build_report(
     names = rep_labels(ensemble)
     refs = []
     for name, spec, stats in zip(names, ensemble.specs, train_stats):
-        ref = stats if isinstance(stats, ReferenceStats) else make_reference(stats)
-        if ref.dim != spec.out_dim:
+        if stats.dim != spec.out_dim:
             raise DataError(
-                f"{name}: train stats have dim {ref.dim}, representation "
+                f"{name}: train stats have dim {stats.dim}, representation "
                 f"produces {spec.out_dim}"
             )
-        refs.append(ref)
+        refs.append(make_reference(stats))
     val_stats = split_stats(ensemble.specs, val_split, "val samples")
     gen_stats = split_stats(ensemble.specs, gen_split, "gen samples")
     rows = []

@@ -89,6 +89,8 @@ class SplitMix64:
     def uniform_blocks(self, n: int, block_rows: int):
         """uniforms(n) in successive blocks of block_rows values, drawing only
         each block's counter window; the stream moves past all n at once."""
+        if block_rows < 1:
+            raise ValueError(f"block_rows must be >= 1, got {block_rows}")
         state = self._state
         self._state = (state + n * _GOLDEN) & _MASK64
         return (

@@ -87,15 +87,9 @@ def congruence_eig(ref_root: np.ndarray, gen_cov: np.ndarray):
 
     Callers clamp negative eigenvalues to zero; clamps larger than
     1e-8 * trace are reported in the computation log. The congruence is
-    symmetrized here, so only its shape is checked; callers pass a checked
-    root and covariance.
+    symmetrized here and nothing is checked: callers pass a checked root and
+    covariance of one dimension, as float64 arrays.
     """
-    ref_root = np.asarray(ref_root, dtype=np.float64)
-    gen_cov = np.asarray(gen_cov, dtype=np.float64)
-    if ref_root.shape != gen_cov.shape:
-        raise DataError(
-            f"dimension mismatch: ref_root {ref_root.shape} vs gen_cov {gen_cov.shape}"
-        )
     inner = ref_root @ gen_cov @ ref_root
     inner = 0.5 * (inner + inner.T)
     w, v = eig_sym(inner, "congruence R C R")

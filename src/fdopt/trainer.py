@@ -25,15 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, NonFiniteDataError, NonFiniteLossError
-from .estimators import (
-    EmaState,
-    QueueState,
-    backprop_estimate,
-    commit_estimate,
-    estimate,
-    held_stats,
-    warm_start,
-)
+from .estimators import EmaState, QueueState, backprop_estimate, estimate, held_stats
 from .formats import read_features
 from .frechet import (
     BLOCK_ROWS,
@@ -527,16 +519,6 @@ def _references(config: TrainConfig) -> list[ReferenceStats]:
     return [make_reference(s) for s in stats]
 
 
-def _fresh_estimators(config: TrainConfig):
-    states = []
-    for spec in config.ensemble.specs:
-        if config.estimator == "queue":
-            states.append(QueueState.empty(config.queue_capacity, spec.out_dim))
-        else:
-            states.append(EmaState.empty(config.ema_beta, spec.out_dim))
-    return states
-
-
 def _eval_model(config, model, refs, stream) -> list[float]:
     """Large-sample per-representation distances for a model snapshot."""
     x = generate(model, stream.normal_matrix(config.effective_warm_start, config.z_dim))
@@ -567,14 +549,16 @@ def post_train(
             f"{config.z_dim} -> {config.out_dim}"
         )
     refs = _references(config)
-    states = _fresh_estimators(config)
     log = MetricsLog(labels=rep_labels(config.ensemble))
 
     warm_stream = SplitMix64(derive_seed("warm-start-noise", config.seed))
     zw = warm_stream.normal_matrix(config.effective_warm_start, config.z_dim)
     xw = check_rows(generate(model, zw), "generated samples")
-    for i, spec in enumerate(config.ensemble.specs):
-        states[i] = warm_start(states[i], featurize(spec, xw))
+    if config.estimator == "queue":
+        kind, param = QueueState, config.queue_capacity
+    else:
+        kind, param = EmaState, config.ema_beta
+    states = [kind(param, featurize(spec, xw)) for spec in config.ensemble.specs]
     warm_fds = [fd(ref, held_stats(state)) for ref, state in zip(refs, states)]
     warm_loss, _ = ensemble_loss(config.ensemble, warm_fds)
     log.records.append(
@@ -622,7 +606,8 @@ def post_train(
             )
             sample_grads += featurize_backprop(spec, x, feats[i], feat_grads)
         fit.update(acts, sample_grads, lr, step)
-        states = [commit_estimate(*args) for args in zip(states, feats, stats)]
+        for state, f, s in zip(states, feats, stats):
+            state.commit(f, s)
         log.records.append(TrainRecord("train", step, lr, loss, tuple(fds)))
     model = fit.model
 

@@ -4,11 +4,14 @@ These deliberately avoid the package's own numerics: matrix roots come from a
 Denman-Beavers iteration on top of numpy's LU-based inverse, eigenvalues from
 LAPACK, statistics from numpy reductions, and derivatives from central finite
 differences. They must stay independent of the code paths they check.
+The readers at the end (a report CSV, a queue's rows) serve only tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from fdopt.errors import DataError
 
 
 def denman_beavers_sqrt(a: np.ndarray, max_iter: int = 100, tol: float = 1e-13):
@@ -155,3 +158,28 @@ def relative_error(actual: np.ndarray, expected: np.ndarray) -> float:
     expected = np.asarray(expected, dtype=np.float64)
     scale = max(1e-12, float(np.max(np.abs(expected))))
     return float(np.max(np.abs(actual - expected)) / scale)
+
+
+def parse_report_csv(text: str):
+    """Parse a report CSV back into ([(name, fd_gen, fd_val, ratio)], fdr_k)."""
+    lines = text.strip().split("\n")
+    if not lines or lines[0] != "rep,fd_gen,fd_val,fdr":
+        raise DataError("report CSV missing expected header")
+    rows = []
+    fdr_k = None
+    for line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != 4:
+            raise DataError(f"malformed report row: {line!r}")
+        if cells[0] == "FDRK":
+            fdr_k = float(cells[3])
+        else:
+            rows.append((cells[0], float(cells[1]), float(cells[2]), float(cells[3])))
+    if fdr_k is None:
+        raise DataError("report CSV missing FDRK row")
+    return rows, fdr_k
+
+
+def queue_contents(q) -> np.ndarray:
+    """A queue state's stored rows, oldest first."""
+    return q.buffer[(q.cursor + np.arange(q.capacity)) % q.capacity]

@@ -22,11 +22,8 @@ from fdopt.estimators import (
     EmaState,
     QueueState,
     backprop_estimate,
-    commit_estimate,
     estimate,
     held_stats,
-    queue_contents,
-    warm_start,
 )
 from fdopt.frechet import (
     GaussianStats,
@@ -60,6 +57,7 @@ from oracles import (
     denman_beavers_sqrt,
     ema_replay_oracle,
     population_stats_oracle,
+    queue_contents,
     relative_error,
     symmetric_matrix_difference,
 )
@@ -173,9 +171,9 @@ def test_gradient_suite(criterion):
                 )
                 history = rng.normal(size=(12, d))
                 if kind == "queue":
-                    state = warm_start(QueueState.empty(8, d), history)
+                    state = QueueState(8, history)
                 else:
-                    state = warm_start(EmaState.empty(0.9, d), history)
+                    state = EmaState(0.9, history)
 
                 def pipeline(batch2d):
                     return fd(ref, estimate(state, batch2d))
@@ -254,12 +252,7 @@ def _check_end_to_end_instance(seed: int) -> None:
     for spec in ensemble.specs:
         feats = featurize(spec, rng.normal(size=(40, 2)))
         refs.append(make_reference(stats_from_features(feats)))
-        states.append(
-            warm_start(
-                EmaState.empty(0.9, spec.out_dim),
-                featurize(spec, rng.normal(size=(12, 2))),
-            )
-        )
+        states.append(EmaState(0.9, featurize(spec, rng.normal(size=(12, 2)))))
 
     def per_rep_fds(m):
         samples = generate(m, z)
@@ -302,7 +295,7 @@ def test_estimator_oracles(criterion):
             for B in (1, 5, 32):
                 for d in (1, 3, 8):
                     rows = SplitMix64(N * 100 + B * 10 + d).normal_matrix(N, d)
-                    state = warm_start(QueueState.empty(N, d), rows)
+                    state = QueueState(N, rows)
                     batch = SplitMix64(N + B + d).normal_matrix(B, d)
                     stats = estimate(state, batch)
                     mu, cov = population_stats_oracle(
@@ -315,16 +308,14 @@ def test_estimator_oracles(criterion):
         for seed in range(5):
             d = 3
             beta = (0.5, 0.9, 0.99, 0.999, 0.3)[seed]
-            state = warm_start(
-                EmaState.empty(beta, d), SplitMix64(seed).normal_matrix(16, d)
-            )
+            state = EmaState(beta, SplitMix64(seed).normal_matrix(16, d))
             held = held_stats(state)
             mu0, m0 = held.mu, held.sigma + np.outer(held.mu, held.mu)
             moments = []
             for k in range(100):
                 batch = SplitMix64(1000 * seed + k).normal_matrix(4, d)
                 moments.append((batch.mean(axis=0), batch.T @ batch / 4))
-                state = commit_estimate(state, batch, estimate(state, batch))
+                state.commit(batch, estimate(state, batch))
             want_mu, want_m = ema_replay_oracle(mu0, m0, moments, beta)
             held = held_stats(state)
             want_sigma = want_m - np.outer(want_mu, want_mu)
@@ -334,9 +325,7 @@ def test_estimator_oracles(criterion):
         # beta = 0 reduces exactly to batch-only statistics
         for seed in range(5):
             d = 2 + seed
-            state = warm_start(
-                EmaState.empty(0.0, d), SplitMix64(seed).normal_matrix(10, d)
-            )
+            state = EmaState(0.0, SplitMix64(seed).normal_matrix(10, d))
             batch = SplitMix64(50 + seed).normal_matrix(6, d)
             stats = estimate(state, batch)
             direct = stats_from_features(batch)

@@ -12,7 +12,6 @@ import pytest
 from fdopt.cli import cli_dispatch
 from fdopt.config import load_config
 from fdopt.formats import (
-    parse_report_csv,
     read_checkpoint,
     read_features,
     read_metrics_log,
@@ -23,11 +22,12 @@ from fdopt.formats import (
     write_report_csv,
     write_stats,
 )
-from fdopt.frechet import fd, make_reference, stats_from_features
+from fdopt.frechet import BLOCK_ROWS, fd, make_reference, stats_from_features
 from fdopt.metrics import build_report
 from fdopt.representations import featurize
 from fdopt.rng import SplitMix64, derive_seed
 from fdopt.trainer import GeneratorModel, generate, sample_target
+from oracles import parse_report_csv
 
 CONFIG_TEXT = textwrap.dedent(
     """\
@@ -518,22 +518,60 @@ QUEUE_64D_CONFIG = (
 )
 
 
+def fdopt_process(threads: str, *argv) -> bytes:
+    """Stdout of fdopt run in a new process with threads OpenBLAS threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "fdopt.cli", *map(str, argv)],
+        env=env, check=True, capture_output=True,
+    ).stdout
+
+
 def test_training_bytes_do_not_depend_on_blas_threads(tmp_path):
     """fdopt train writes the same checkpoint and log with 1 and 2 BLAS threads."""
     config = tmp_path / "queue64.cfg"
     config.write_text(QUEUE_64D_CONFIG, encoding="utf-8")
-    src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         ckpt, log = tmp_path / f"m{threads}.ckpt", tmp_path / f"log{threads}.csv"
-        subprocess.run(
-            [sys.executable, "-m", "fdopt.cli", "train", "--config", str(config),
-             "--out", str(ckpt), "--log", str(log)],
-            env=env, check=True, capture_output=True,
-        )
+        fdopt_process(threads, "train", "--config", config, "--out", ckpt, "--log", log)
         outputs.append((ckpt.read_bytes(), log.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_scoring_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """pretrain, sample, compute-stats, fd and fdr give the same bytes with 1
+    and 2 BLAS threads, on splits of two full blocks plus a 1-row tail."""
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "mixture.cfg"
+    text = shipped.read_text(encoding="utf-8")
+    config = tmp_path / "mixture.cfg"
+    config.write_text(
+        text.replace("pretrain_steps = 1500", "pretrain_steps = 200"), encoding="utf-8"
+    )
+    target = load_config(str(config)).train.target
+    n = 2 * BLOCK_ROWS + 1
+    train, val = tmp_path / "train.bin", tmp_path / "val.bin"
+    write_features(str(train), sample_target(target, n, "split-a"))
+    write_features(str(val), sample_target(target, n, "split-b"))
+    outputs = []
+    for threads in ("1", "2"):
+        ckpt, gen, stats, report = (
+            tmp_path / f"{name}{threads}"
+            for name in ("pre.ckpt", "gen.bin", "train.stats", "report.csv")
+        )
+        printed = [
+            fdopt_process(threads, "pretrain", "--config", config, "--out", ckpt),
+            fdopt_process(threads, "sample", "--ckpt", ckpt, "--n", n, "--out", gen),
+            fdopt_process(threads, "compute-stats", "--features", train, "--out", stats),
+            fdopt_process(threads, "fd", "--ref", stats, "--gen", gen),
+            fdopt_process(
+                threads, "fdr", "--train", train, "--val", val, "--gen", gen,
+                "--config", config, "--out", report,
+            ),
+        ]
+        outputs.append([p.read_bytes() for p in (ckpt, gen, stats, report)] + printed)
     assert outputs[0] == outputs[1]
 
 

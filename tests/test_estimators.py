@@ -9,11 +9,8 @@ from fdopt.estimators import (
     EmaState,
     QueueState,
     backprop_estimate,
-    commit_estimate,
     estimate,
     held_stats,
-    queue_contents,
-    warm_start,
 )
 from fdopt.frechet import (
     GaussianStats,
@@ -27,23 +24,25 @@ from oracles import (
     central_difference,
     ema_replay_oracle,
     population_stats_oracle,
+    queue_contents,
     relative_error,
 )
 
 
 def warm_queue(seed: int, capacity: int, dim: int) -> QueueState:
     rows = SplitMix64(seed).normal_matrix(capacity, dim)
-    return warm_start(QueueState.empty(capacity, dim), rows)
+    return QueueState(capacity, rows)
 
 
 def warm_ema(seed: int, beta: float, dim: int, rows: int = 16) -> EmaState:
     samples = SplitMix64(seed).normal_matrix(rows, dim)
-    return warm_start(EmaState.empty(beta, dim), samples)
+    return EmaState(beta, samples)
 
 
 def commit(state, batch: np.ndarray):
     """One step's estimate and commit, as the training loop runs them."""
-    return commit_estimate(state, batch, estimate(state, batch))
+    state.commit(batch, estimate(state, batch))
+    return state
 
 
 def backprop(state, batch: np.ndarray, d_mu: np.ndarray, d_sigma: np.ndarray):
@@ -53,14 +52,14 @@ def backprop(state, batch: np.ndarray, d_mu: np.ndarray, d_sigma: np.ndarray):
 class TestQueue:
     def test_duplicated_rows_match_batch_stats(self):
         batch = SplitMix64(1).normal_matrix(4, 2)
-        q = warm_start(QueueState.empty(4, 2), batch)
+        q = QueueState(4, batch)
         stats = estimate(q, batch)
         direct = stats_from_features(batch)
         assert np.allclose(stats.mu, direct.mu, atol=1e-14)
         assert np.allclose(stats.sigma, direct.sigma, atol=1e-14)
 
     def test_all_zero(self):
-        q = warm_start(QueueState.empty(3, 2), np.zeros((3, 2)))
+        q = QueueState(3, np.zeros((3, 2)))
         stats = estimate(q, np.zeros((2, 2)))
         assert np.allclose(stats.mu, 0.0)
         assert np.allclose(stats.sigma, 0.0)
@@ -77,14 +76,9 @@ class TestQueue:
         assert np.abs(stats.sigma - cov).max() <= 1e-12
         assert stats.weight == 80.0
 
-    def test_unwarmed_rejected(self):
-        q = QueueState.empty(4, 2)
-        with pytest.raises(DataError, match="warm_start"):
-            estimate(q, np.zeros((2, 2)))
-
     def test_commit_fifo_pair(self):
         a, b, c = np.array([[1.0]]), np.array([[2.0]]), np.array([[3.0]])
-        q = warm_start(QueueState.empty(2, 1), np.concatenate([a, b]))
+        q = QueueState(2, np.concatenate([a, b]))
         q = commit(q, c)
         assert np.allclose(queue_contents(q), [[2.0], [3.0]])
 
@@ -125,9 +119,7 @@ class TestQueueRunningSums:
     def test_matches_concatenation_over_ten_turnovers(self, offset):
         capacity, b, d = 1024, 32, 64
         stream = SplitMix64(1234)
-        q = warm_start(
-            QueueState.empty(capacity, d), offset + stream.normal_matrix(capacity, d)
-        )
+        q = QueueState(capacity, offset + stream.normal_matrix(capacity, d))
         worst = 0.0
         for step in range(10 * capacity // b):
             # the rows drift away from the shift the sums were last built at
@@ -219,7 +211,7 @@ class TestEmaMoments:
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            warm_start(EmaState.empty(0.9, 3), np.empty((0, 3)))
+            EmaState(0.9, np.empty((0, 3)))
 
 
 def batch_moments(batch: np.ndarray):
@@ -244,7 +236,7 @@ class TestEmaBlend:
         d, b, n = 4, 32, 64
         warm = offset + SplitMix64(68).normal_matrix(n, d)
         batch = offset + SplitMix64(69).normal_matrix(b, d)
-        stats = estimate(warm_start(EmaState.empty(beta, d), warm), batch)
+        stats = estimate(EmaState(beta, warm), batch)
         rows = np.concatenate([warm, batch])
         w = np.concatenate([np.full(n, beta / n), np.full(b, (1.0 - beta) / b)])
         mu = np.average(rows, axis=0, weights=w)
@@ -259,7 +251,7 @@ class TestEmaBlend:
     def test_fixed_point_on_warm_start_batch(self):
         batch = SplitMix64(62).normal_matrix(16, 2)
         for beta in [0.0, 0.5, 0.999]:
-            s = warm_start(EmaState.empty(beta, 2), batch)
+            s = EmaState(beta, batch)
             stats = estimate(s, batch)
             assert np.allclose(stats.mu, s.mu, atol=1e-14)
             assert np.allclose(stats.sigma, s.sigma, atol=1e-14)
@@ -279,21 +271,14 @@ class TestEmaBlend:
         assert np.abs(held.mu - mu_want).max() <= 1e-10
         assert np.abs(held.sigma - (m_want - np.outer(mu_want, mu_want))).max() <= 1e-10
 
-    def test_uninitialized_rejected(self):
-        s = EmaState.empty(0.9, 2)
-        with pytest.raises(DataError, match="warm_start"):
-            estimate(s, np.zeros((1, 2)))
-        with pytest.raises(DataError, match="warm_start"):
-            held_stats(s)
-
     def test_commit_round_trip(self):
         s = warm_ema(64, 0.9, 2)
         mu = np.array([1.0, 2.0])
         sigma = np.array([[2.0, 0.5], [0.5, 5.0]])
-        s2 = commit_estimate(s, np.zeros((1, 2)), GaussianStats(mu, sigma, 1.0))
-        assert np.array_equal(s2.mu, mu)
-        assert np.array_equal(s2.sigma, sigma)
-        assert s2.beta == 0.9
+        s.commit(np.zeros((1, 2)), GaussianStats(mu, sigma, 1.0))
+        assert np.array_equal(s.mu, mu)
+        assert np.array_equal(s.sigma, sigma)
+        assert s.beta == 0.9
 
     def test_convexity_bound_near_one(self):
         beta = 0.9999
@@ -308,7 +293,7 @@ class TestEmaBlend:
         for k in range(50):
             batch = SplitMix64(800 + k).normal_matrix(4, 4)
             stats = estimate(s, batch)
-            s = commit_estimate(s, batch, stats)
+            s.commit(batch, stats)
         w = np.linalg.eigvalsh(stats.sigma)
         assert w.min() >= -1e-8 * max(np.trace(stats.sigma), 1.0) / 4
 
@@ -316,24 +301,40 @@ class TestEmaBlend:
 class TestWarmStart:
     def test_ema_single_row(self):
         x = np.array([[3.0, -1.0]])
-        s = warm_start(EmaState.empty(0.9, 2), x)
+        s = EmaState(0.9, x)
         held = held_stats(s)
         assert np.allclose(held.mu, x[0])
         assert np.allclose(held.sigma, np.zeros((2, 2)))
 
     def test_queue_exact_capacity_preserves_order(self):
         rows = SplitMix64(70).normal_matrix(5, 2)
-        q = warm_start(QueueState.empty(5, 2), rows)
+        q = QueueState(5, rows)
         assert np.array_equal(queue_contents(q), rows)
 
     def test_queue_keeps_most_recent(self):
         rows = SplitMix64(71).normal_matrix(9, 2)
-        q = warm_start(QueueState.empty(4, 2), rows)
+        q = QueueState(4, rows)
         assert np.array_equal(queue_contents(q), rows[-4:])
 
     def test_queue_undersized_rejected(self):
         with pytest.raises(DataError, match="4"):
-            warm_start(QueueState.empty(4, 2), np.zeros((3, 2)))
+            QueueState(4, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_queue_capacity_below_one_rejected(self, capacity):
+        with pytest.raises(DataError, match="capacity must be >= 1"):
+            QueueState(capacity, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("beta", [-0.1, 1.0, 1.5, float("nan")])
+    def test_ema_beta_outside_unit_interval_rejected(self, beta):
+        with pytest.raises(DataError, match=r"beta must lie in \[0, 1\)"):
+            EmaState(beta, np.zeros((3, 2)))
+
+    def test_queue_owns_its_rows(self):
+        rows = SplitMix64(72).normal_matrix(4, 2)
+        q = QueueState(4, rows)
+        rows[:] = 0.0
+        assert np.array_equal(queue_contents(q), SplitMix64(72).normal_matrix(4, 2))
 
 
 def pipeline_fd(ref, state, batch):
@@ -359,7 +360,7 @@ class TestEstimatorBackprop:
         # B=1, d=1, beta=0: stats are (x, 0), so fd = (x - mu_r)^2 + sigma_r
         # and the exact gradient is 2 (x - mu_r).
         ref = make_reference(GaussianStats(np.array([0.5]), np.eye(1), 1.0))
-        s = warm_start(EmaState.empty(0.0, 1), np.array([[0.0]]))
+        s = EmaState(0.0, np.array([[0.0]]))
         batch = np.array([[2.0]])
         _, grad = fd_with_grad(ref, estimate(s, batch))
         g = backprop(s, batch, grad.d_mu, grad.d_sigma)

@@ -21,7 +21,6 @@ from fdopt.formats import (
     atomic_write_bytes,
     format_sig9,
     metrics_log_text,
-    parse_report_csv,
     read_checkpoint,
     read_feature_blocks,
     read_features,
@@ -35,6 +34,7 @@ from fdopt.formats import (
     write_stats,
 )
 from fdopt.frechet import BLOCK_ROWS, GaussianStats
+from oracles import parse_report_csv
 
 
 def random_features(seed, n, d):

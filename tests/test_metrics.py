@@ -102,15 +102,6 @@ class TestBuildReport:
             ).ratios[0]
             assert scaled == pytest.approx(base, rel=1e-8)
 
-    def test_accepts_prebuilt_references(self):
-        ensemble = four_kind_ensemble()
-        train, val, gen = split_populations(seed=4)
-        stats = train_stats_for(ensemble, train)
-        refs = [make_reference(s) for s in stats]
-        a = build_report(ensemble, stats, val, gen)
-        b = build_report(ensemble, refs, val, gen)
-        assert a.ratios == b.ratios
-
     def test_rejects_stats_count_mismatch(self):
         ensemble = four_kind_ensemble()
         train, val, gen = split_populations(seed=5, n_train=512)

@@ -45,3 +45,11 @@ def test_stream_moves_past_the_whole_draw(consume):
 def test_odd_block_values_rejected(rows, cols, block):
     with pytest.raises(ValueError, match="even"):
         SplitMix64(14).normal_blocks(rows, cols, block)
+
+
+@pytest.mark.parametrize("block", [0, -1])
+def test_nonpositive_uniform_block_rejected_before_the_stream_moves(block):
+    stream = SplitMix64(15)
+    with pytest.raises(ValueError, match="block_rows"):
+        stream.uniform_blocks(10, block)
+    assert stream.uniforms(5).tobytes() == SplitMix64(15).uniforms(5).tobytes()

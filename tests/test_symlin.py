@@ -123,10 +123,6 @@ class TestTraceSqrtProduct:
             want = trace_sqrt_product_oracle(r, b)
             assert got == pytest.approx(want, rel=1e-9)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DataError, match="mismatch"):
-            congruence_root_trace(np.eye(2), np.eye(3))
-
     @given(st.integers(0, 2**31), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_nonnegative(self, seed, d):

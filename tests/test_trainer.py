@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fdopt.errors import ConfigError, DataError, NonFiniteLossError
-from fdopt.estimators import EmaState, QueueState, warm_start
+from fdopt.estimators import EmaState, QueueState
 from fdopt.frechet import BLOCK_ROWS, fd, make_reference, stats_from_features
 from fdopt.representations import (
     RepresentationEnsemble,
@@ -30,6 +30,7 @@ from oracles import (
     adam_scalar_replay,
     central_difference,
     mlp_forward_oracle,
+    queue_contents,
     relative_error,
 )
 
@@ -291,12 +292,7 @@ def frozen_chain(config, model, refs, states, z):
 def reference_post_train(config):
     """post_train assembled only from the public layer functions: every
     sample, feature and statistic is recomputed where the chain needs it."""
-    from fdopt.estimators import (
-        backprop_estimate,
-        commit_estimate,
-        estimate,
-        queue_contents,
-    )
+    from fdopt.estimators import backprop_estimate, estimate
     from fdopt.frechet import fd_with_grad
     from fdopt.representations import featurize_backprop
     from fdopt.rng import derive_seed
@@ -321,11 +317,10 @@ def reference_post_train(config):
     for spec, ref in zip(specs, refs):
         feats = featurize(spec, xw)
         if queue:
-            state = warm_start(QueueState.empty(config.queue_capacity, spec.out_dim),
-                               feats)
+            state = QueueState(config.queue_capacity, feats)
             stats = stats_from_features(queue_contents(state))
         else:
-            state = warm_start(EmaState.empty(config.ema_beta, spec.out_dim), feats)
+            state = EmaState(config.ema_beta, feats)
             stats = stats_from_features(feats)
         states.append(state)
         warm_fds.append(fd(ref, stats))
@@ -359,10 +354,8 @@ def reference_post_train(config):
             lr, config.beta1, config.beta2, config.weight_decay,
         )
         model = GeneratorModel.unchecked(model.layer_dims, theta)
-        states = [
-            commit_estimate(state, featurize(spec, x), stats)
-            for spec, state, stats in zip(specs, states, estimates)
-        ]
+        for spec, state, stats in zip(specs, states, estimates):
+            state.commit(featurize(spec, x), stats)
         out.append(record("train", step, lr, fds))
 
     x = evaluate("final-eval-noise")
@@ -456,9 +449,9 @@ class TestPostTrain:
         for spec in cfg.ensemble.specs:
             feats = featurize(spec, base)
             if estimator == "queue":
-                states.append(warm_start(QueueState.empty(24, spec.out_dim), feats))
+                states.append(QueueState(24, feats))
             else:
-                states.append(warm_start(EmaState.empty(0.9, spec.out_dim), feats))
+                states.append(EmaState(0.9, feats))
         z = stream.normal_matrix(cfg.batch_size, cfg.z_dim)
 
         base_fds, analytic = frozen_chain(cfg, model, refs, states, z)
