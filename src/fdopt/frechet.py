@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DataError, NonFiniteDataError, NumericalError
 from .representations import featurize
-from .symlin import check_symmetric, congruence_eig, sqrt_psd
+from .symlin import check_symmetric, congruence_eig, eig_sym, psd_root
 
 log = logging.getLogger("fdopt.frechet")
 
@@ -102,8 +102,9 @@ class ReferenceStats:
 
 
 def make_reference(stats: GaussianStats) -> ReferenceStats:
-    root = sqrt_psd(stats.sigma, "reference sigma")
-    return ReferenceStats(stats, root, float(np.trace(stats.sigma)))
+    trace = float(np.trace(stats.sigma))
+    w, v = eig_sym(stats.sigma, "reference sigma")
+    return ReferenceStats(stats, psd_root(w, v, trace, "reference sigma"), trace)
 
 
 # Rows per block of a population's moments, and of the generator's sample
@@ -121,28 +122,24 @@ def check_rows(rows, what: str, dim: int | None = None, first: int = 0) -> np.nd
         raise DataError(f"{what} must be a nonempty n x d matrix, got shape {rows.shape}")
     if dim is not None and rows.shape[1] != dim:
         raise DataError(f"{what} must be n x {dim}, got shape {rows.shape}")
-    finite_rows = np.isfinite(rows).all(axis=1)
-    if not finite_rows.all():
-        bad = first + int(np.nonzero(~finite_rows)[0][0])
+    if not np.isfinite(rows).all():
+        bad = first + int(np.argmin(np.isfinite(rows).all(axis=1)))
         raise NonFiniteDataError(f"{what} row {bad} contains non-finite entries")
     return rows
 
 
-def stats_from_features(features: np.ndarray) -> GaussianStats:
-    """Column mean and population covariance (divisor n) of an n x d matrix."""
-    return Moments(row_blocks(check_rows(features, "features"))).stats()
-
-
 def split_stats(specs, split, what: str) -> list[GaussianStats]:
-    """[stats_from_features(featurize(spec, split)) for spec in specs], in one
-    pass over a split given as an n x in_dim matrix or an iterable of row
-    blocks. Each block is checked, naming a bad row by its index in the
-    split, then featurized in every space and folded into its moments."""
+    """Mean and population covariance (divisor n) of featurize(spec, split)
+    for each spec, in one pass, a block at a time. A matrix split is checked
+    here (check_rows); blocks come checked from formats.read_feature_blocks,
+    so only their width is checked against in_dim."""
+    dim = specs[0].in_dim
     if isinstance(split, np.ndarray):
-        split = row_blocks(split)
+        split = row_blocks(check_rows(split, what, dim))
     sums = [Moments() for _ in specs]
     for block in split:
-        block = check_rows(block, what, specs[0].in_dim, first=sums[0].n)
+        if block.shape[1] != dim:
+            raise DataError(f"{what} must be n x {dim}, got shape {block.shape}")
         for spec, moments in zip(specs, sums):
             moments.add(featurize(spec, block), owned=True)
     if not sums[0].n:

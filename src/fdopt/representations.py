@@ -90,6 +90,15 @@ def _frozen_params(spec: RepresentationSpec) -> tuple[np.ndarray, np.ndarray]:
     return w, b
 
 
+@lru_cache(maxsize=64)
+def _upper_pairs(in_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(in_dim), the quadratic map's monomial pairs, read-only."""
+    pairs = np.triu_indices(in_dim)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def rep_params(spec: RepresentationSpec) -> tuple[np.ndarray, np.ndarray]:
     """(W, b) for the random affine families; identity/quadratic have none."""
     if spec.kind not in ("affine", "tanh_rf"):
@@ -100,11 +109,11 @@ def rep_params(spec: RepresentationSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def featurize(spec: RepresentationSpec, samples: np.ndarray) -> np.ndarray:
     """Features of a finite float64 B x in_dim matrix, which the caller has
-    checked (split_stats is the checked entry)."""
+    checked (split_stats checks a matrix, the features reader a file)."""
     if spec.kind == "identity":
         return samples.copy()
     if spec.kind == "quadratic":
-        iu_i, iu_j = np.triu_indices(spec.in_dim)
+        iu_i, iu_j = _upper_pairs(spec.in_dim)
         return np.concatenate([samples, samples[:, iu_i] * samples[:, iu_j]], axis=1)
     w, b = _frozen_params(spec)
     pre = samples @ w.T
@@ -126,7 +135,7 @@ def featurize_backprop(
         return feature_grads.copy()
     if spec.kind == "quadratic":
         n = spec.in_dim
-        iu_i, iu_j = np.triu_indices(n)
+        iu_i, iu_j = _upper_pairs(n)
         g_lin = feature_grads[:, :n]
         g_quad = feature_grads[:, n:]
         # x_i x_j contributes x_j to column i and x_i to column j; the two

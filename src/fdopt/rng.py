@@ -61,23 +61,20 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK64
 
-    def _raw(self, n: int) -> np.ndarray:
-        z = _outputs(self._state, 0, n)
-        self._state = (self._state + n * _GOLDEN) & _MASK64
-        return z
+    def _skip(self, n: int) -> int:
+        """Move the stream past n draws; return the state they start from."""
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        state = self._state
+        self._state = (state + n * _GOLDEN) & _MASK64
+        return state
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1)."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        return _unit(self._raw(n))
+        return _unit(_outputs(self._skip(n), 0, n))
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller."""
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
         pairs = (n + 1) // 2
         # one draw: the first half are the radius uniforms, the second the angles
         u = self.uniforms(2 * pairs)
@@ -91,8 +88,7 @@ class SplitMix64:
         each block's counter window; the stream moves past all n at once."""
         if block_rows < 1:
             raise ValueError(f"block_rows must be >= 1, got {block_rows}")
-        state = self._state
-        self._state = (state + n * _GOLDEN) & _MASK64
+        state = self._skip(n)
         return (
             _unit(_outputs(state, start, min(block_rows, n - start)))
             for start in range(0, n, block_rows)
@@ -107,13 +103,16 @@ class SplitMix64:
         pairs + k of one normal_matrix draw; a block that starts on a pair
         boundary (block_rows * cols even) draws exactly those two counter
         windows."""
-        if block_rows < 1 or (block_rows * cols) % 2:
+        if min(rows, cols) < 0:
+            raise ValueError("n must be nonnegative")
+        if block_rows < 1:
+            raise ValueError(f"block_rows must be >= 1, got {block_rows}")
+        if (block_rows * cols) % 2:
             raise ValueError(
                 f"block_rows * cols must be even, got {block_rows} x {cols}"
             )
         pairs = (rows * cols + 1) // 2
-        state = self._state
-        self._state = (state + 2 * pairs * _GOLDEN) & _MASK64
+        state = self._skip(2 * pairs)
 
         def blocks():
             for start in range(0, rows, block_rows):

@@ -2,10 +2,10 @@
 
 Everything here is pure-function and double precision. The eigensolver is
 LAPACK's symmetric driver (``np.linalg.eigh``), so a run is
-byte-reproducible on a given machine and BLAS build. Its input is checked
-once where it enters (check_symmetric) or built exactly symmetric. Callers
-use eigenvectors only through V f(w) V^T, which does not depend on their
-signs.
+byte-reproducible on a given machine and BLAS build. A matrix is checked
+once where it enters (check_symmetric, in GaussianStats and TargetSpec) or
+built exactly symmetric, and not again here. Callers use eigenvectors
+only through V f(w) V^T, which does not depend on their signs.
 """
 
 from __future__ import annotations
@@ -56,13 +56,6 @@ def eig_sym(a: np.ndarray, name: str = "matrix"):
         raise NumericalError(f"eigendecomposition of {name} failed: {exc}") from exc
 
 
-def sqrt_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition (see psd_root)."""
-    a = check_symmetric(a, name)
-    w, v = eig_sym(a, name)
-    return psd_root(w, v, float(np.trace(a)), name)
-
-
 def psd_root(w: np.ndarray, v: np.ndarray, trace: float, name: str) -> np.ndarray:
     """Symmetric root V diag(sqrt(w)) V^T from the eigenpairs of a matrix
     with the given trace.
@@ -74,7 +67,7 @@ def psd_root(w: np.ndarray, v: np.ndarray, trace: float, name: str) -> np.ndarra
     low = float(w.min())
     if low < threshold:
         log.warning(
-            "sqrt_psd: eigenvalue %.6e of %s below tolerance %.6e; clamping",
+            "psd_root: eigenvalue %.6e of %s below tolerance %.6e; clamping",
             low, name, threshold,
         )
     roots = np.sqrt(np.maximum(w, 0.0))

@@ -4,7 +4,10 @@ These deliberately avoid the package's own numerics: matrix roots come from a
 Denman-Beavers iteration on top of numpy's LU-based inverse, eigenvalues from
 LAPACK, statistics from numpy reductions, and derivatives from central finite
 differences. They must stay independent of the code paths they check.
-The readers at the end (a report CSV, a queue's rows) serve only tests.
+The helpers at the end serve only tests: readers (a report CSV, a queue's
+rows) and checked matrix entries to package kernels (sqrt_psd,
+stats_from_features), which the program itself calls on inputs checked
+where they enter.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from fdopt.errors import DataError
+from fdopt.frechet import GaussianStats, Moments, check_rows, row_blocks
+from fdopt.symlin import check_symmetric, eig_sym, psd_root
 
 
 def denman_beavers_sqrt(a: np.ndarray, max_iter: int = 100, tol: float = 1e-13):
@@ -183,3 +188,16 @@ def parse_report_csv(text: str):
 def queue_contents(q) -> np.ndarray:
     """A queue state's stored rows, oldest first."""
     return q.buffer[(q.cursor + np.arange(q.capacity)) % q.capacity]
+
+
+def sqrt_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """The package's symmetric PSD root (eig_sym, psd_root) of a checked a."""
+    a = check_symmetric(a, name)
+    w, v = eig_sym(a, name)
+    return psd_root(w, v, float(np.trace(a)), name)
+
+
+def stats_from_features(features: np.ndarray) -> GaussianStats:
+    """The package's blocked Moments of a checked n x d matrix: its column
+    mean and population covariance (divisor n)."""
+    return Moments(row_blocks(check_rows(features, "features"))).stats()

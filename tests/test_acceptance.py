@@ -30,7 +30,6 @@ from fdopt.frechet import (
     fd,
     fd_with_grad,
     make_reference,
-    stats_from_features,
 )
 from fdopt.metrics import CALIBRATION_SIZES, build_report
 from fdopt.representations import (
@@ -41,7 +40,7 @@ from fdopt.representations import (
     featurize_backprop,
 )
 from fdopt.rng import SplitMix64
-from fdopt.symlin import congruence_eig, sqrt_psd
+from fdopt.symlin import congruence_eig
 from fdopt.trainer import (
     GeneratorModel,
     _buffers,
@@ -59,6 +58,8 @@ from oracles import (
     population_stats_oracle,
     queue_contents,
     relative_error,
+    sqrt_psd,
+    stats_from_features,
     symmetric_matrix_difference,
 )
 

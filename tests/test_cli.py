@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fdopt import formats, frechet
 from fdopt.cli import cli_dispatch
 from fdopt.config import load_config
 from fdopt.formats import (
@@ -22,12 +23,12 @@ from fdopt.formats import (
     write_report_csv,
     write_stats,
 )
-from fdopt.frechet import BLOCK_ROWS, fd, make_reference, stats_from_features
+from fdopt.frechet import BLOCK_ROWS, fd, make_reference
 from fdopt.metrics import build_report
 from fdopt.representations import featurize
 from fdopt.rng import SplitMix64, derive_seed
 from fdopt.trainer import GeneratorModel, generate, sample_target
-from oracles import parse_report_csv
+from oracles import parse_report_csv, stats_from_features
 
 CONFIG_TEXT = textwrap.dedent(
     """\
@@ -156,6 +157,64 @@ class TestFeatureSplits:
         code = self.fdr(workspace, path(workspace, "r.csv"), val, val[:1])
         assert code == 2
         assert "disagree on dimension" in capsys.readouterr().err
+
+
+class TestRowChecks:
+    """A features file's rows are checked once, by the reader, per block."""
+
+    N_ROWS = 2 * BLOCK_ROWS + 1
+    BLOCKS = [(BLOCK_ROWS, 2), (BLOCK_ROWS, 2), (1, 2)]  # shapes, each checked once
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        calls = []
+        original = frechet.check_rows
+
+        def counting(rows, *args, **kwargs):
+            calls.append(rows.shape)
+            return original(rows, *args, **kwargs)
+
+        monkeypatch.setattr(formats, "check_rows", counting)
+        monkeypatch.setattr(frechet, "check_rows", counting)
+        return calls
+
+    def split(self, workspace, name, cols=2):
+        out = path(workspace, name)
+        write_features(out, SplitMix64(derive_seed(name)).normal_matrix(self.N_ROWS, cols))
+        return out
+
+    def rep_config(self, workspace):
+        single = workspace / "single.cfg"
+        single.write_text(
+            "[ensemble]\nrep.0.kind = tanh_rf\nrep.0.seed = 1\nrep.0.out_dim = 6\n",
+            encoding="utf-8",
+        )
+        spec = load_config(str(single)).ensemble.specs[0]
+        stats_path = path(workspace, "rep.stats")
+        train = featurize(spec, read_features(path(workspace, "train.bin")))
+        write_stats(stats_path, stats_from_features(train))
+        return str(single), stats_path
+
+    def test_fdr_checks_each_block_once(self, workspace, counted):
+        train, val, gen = (self.split(workspace, f"{n}.big") for n in ("tr", "va", "gen"))
+        argv = ["fdr", "--train", train, "--val", val, "--gen", gen,
+                "--config", path(workspace, "run.cfg"), "--out", path(workspace, "r.csv")]
+        assert cli_dispatch(argv) == 0
+        assert counted == self.BLOCKS * 3
+
+    def test_fd_rep_checks_each_block_once(self, workspace, counted):
+        single, stats_path = self.rep_config(workspace)
+        gen = self.split(workspace, "gen.big")
+        counted.clear()  # the reference's own read
+        assert cli_dispatch(["fd", "--ref", stats_path, "--gen", gen, "--rep", single]) == 0
+        assert counted == self.BLOCKS
+
+    def test_fd_rep_checks_block_width(self, workspace, capsys):
+        single, stats_path = self.rep_config(workspace)
+        wide = self.split(workspace, "wide.big", cols=3)
+        code = cli_dispatch(["fd", "--ref", stats_path, "--gen", wide, "--rep", single])
+        assert code == 2
+        assert "gen features must be n x 2, got shape (4096, 3)" in capsys.readouterr().err
 
 
 class TestDataErrors:

@@ -17,7 +17,6 @@ from fdopt.frechet import (
     fd,
     fd_with_grad,
     make_reference,
-    stats_from_features,
 )
 from fdopt.rng import SplitMix64
 from oracles import (
@@ -26,6 +25,7 @@ from oracles import (
     population_stats_oracle,
     queue_contents,
     relative_error,
+    stats_from_features,
 )
 
 

@@ -12,7 +12,6 @@ from fdopt.frechet import (
     fd_with_grad,
     make_reference,
     split_stats,
-    stats_from_features,
 )
 from fdopt.representations import RepresentationSpec, featurize
 from fdopt.rng import SplitMix64
@@ -21,6 +20,7 @@ from oracles import (
     frechet_oracle,
     population_stats_oracle,
     relative_error,
+    stats_from_features,
     symmetric_matrix_difference,
 )
 

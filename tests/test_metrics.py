@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from fdopt.errors import DataError, NonFiniteDataError
-from fdopt.frechet import fd, make_reference, stats_from_features
+from fdopt.frechet import fd, make_reference
 from fdopt.metrics import FdrReport, FdrRow, build_report, fd_ratio, fdr_k, rep_labels
 from fdopt.representations import RepresentationEnsemble, RepresentationSpec, featurize
+from oracles import stats_from_features
 
 
 def four_kind_ensemble(in_dim=2):

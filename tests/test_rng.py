@@ -53,3 +53,19 @@ def test_nonpositive_uniform_block_rejected_before_the_stream_moves(block):
     with pytest.raises(ValueError, match="block_rows"):
         stream.uniform_blocks(10, block)
     assert stream.uniforms(5).tobytes() == SplitMix64(15).uniforms(5).tobytes()
+
+
+@pytest.mark.parametrize(
+    "draw, match",
+    [
+        (lambda s: s.uniform_blocks(-5, 4), "n must be nonnegative"),
+        (lambda s: s.normal_blocks(-5, 2, 4), "n must be nonnegative"),
+        (lambda s: s.normal_blocks(5, 2, 0), "block_rows must be >= 1, got 0"),
+        (lambda s: s.normal_blocks(5, 2, -2), "block_rows must be >= 1, got -2"),
+    ],
+)
+def test_bad_block_draw_rejected_before_the_stream_moves(draw, match):
+    stream = SplitMix64(16)
+    with pytest.raises(ValueError, match=match):
+        draw(stream)
+    assert stream.uniforms(5).tobytes() == SplitMix64(16).uniforms(5).tobytes()

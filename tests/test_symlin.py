@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from conftest import random_psd, random_symmetric
 from fdopt.errors import DataError, NonFiniteDataError, NumericalError
 from fdopt.rng import SplitMix64
-from fdopt.symlin import congruence_eig, eig_sym, sqrt_psd
-from oracles import denman_beavers_sqrt, trace_sqrt_product_oracle
+from fdopt.symlin import congruence_eig, eig_sym
+from oracles import denman_beavers_sqrt, sqrt_psd, trace_sqrt_product_oracle
 
 
 def congruence_root_trace(ref_root, gen_cov):

@@ -3,7 +3,7 @@ import pytest
 
 from fdopt.errors import ConfigError, DataError, NonFiniteLossError
 from fdopt.estimators import EmaState, QueueState
-from fdopt.frechet import BLOCK_ROWS, fd, make_reference, stats_from_features
+from fdopt.frechet import BLOCK_ROWS, fd, make_reference
 from fdopt.representations import (
     RepresentationEnsemble,
     RepresentationSpec,
@@ -32,6 +32,7 @@ from oracles import (
     mlp_forward_oracle,
     queue_contents,
     relative_error,
+    stats_from_features,
 )
 
 
