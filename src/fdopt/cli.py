@@ -133,11 +133,6 @@ def _cmd_train(args) -> int:
     initial = None
     if args.init is not None:
         initial = _load_model(args.init)
-        if initial.layer_dims != loaded.train.layer_dims:
-            raise DataError(
-                f"checkpoint layers {initial.layer_dims} do not match config "
-                f"layers {loaded.train.layer_dims}"
-            )
     try:
         model, log = post_train(loaded.train, initial_model=initial)
     except NonFiniteLossError as err:

@@ -118,17 +118,21 @@ def _fields(section: dict, table: dict, where: str) -> dict:
     }
 
 
-def _construct(cls, where: str, **fields):
+def _keys(table: dict, where: str) -> dict:
+    """{field: the key that sets it, where + key} for one key table."""
+    return {field: where + key for key, (field, _) in table.items()}
+
+
+def _construct(cls, keys: dict, **fields):
     """cls(**fields); a range error, which begins with the field it rejects, is
-    raised again naming its key: where + field (in_dim is trainer.out_dim)."""
+    raised again naming that field's key in keys."""
     try:
         return cls(**fields)
     except DataError as exc:
         field, _, rest = str(exc).partition(" ")
-        if field not in fields:
+        if field not in keys:
             raise
-        key = "trainer.out_dim" if field == "in_dim" else where + field
-        raise ConfigError(f"{key} {rest}") from None
+        raise ConfigError(f"{keys[field]} {rest}") from None
 
 
 def parse_config(text: str) -> dict[str, dict[str, str]]:
@@ -202,10 +206,12 @@ def _build_ensemble(section: dict, in_dim: int) -> RepresentationEnsemble:
         if "out_dim" not in rep and rep["kind"] not in out_dims:
             raise ConfigError(f"missing required key {where}out_dim")
         rep = {"seed": 0, "out_dim": out_dims.get(rep["kind"]), **rep}
-        specs.append(_construct(RepresentationSpec, where, in_dim=in_dim, **rep))
+        # the ensemble's in_dim is the generator's out_dim
+        keys = _keys(_REP, where) | {"in_dim": "trainer.out_dim"}
+        specs.append(_construct(RepresentationSpec, keys, in_dim=in_dim, **rep))
     ensemble = _fields(section, _ENSEMBLE, "ensemble.")
-    specs = tuple(specs)
-    return _construct(RepresentationEnsemble, "ensemble.", specs=specs, **ensemble)
+    keys = _keys(_ENSEMBLE, "ensemble.")
+    return _construct(RepresentationEnsemble, keys, specs=tuple(specs), **ensemble)
 
 
 def _build_target(section: dict, name: str) -> TargetSpec:
@@ -263,7 +269,9 @@ def build_config(sections: dict[str, dict[str, str]]) -> LoadedConfig:
         source = _build_target(sections["source"], "source")
     train = None
     if "target" in sections:
-        train = TrainConfig(
+        train = _construct(
+            TrainConfig,
+            _keys(_TRAINER, "trainer.") | _keys(_ESTIMATOR, "estimator."),
             ensemble=ensemble,
             target=_build_target(sections["target"], "target"),
             **train_fields,

@@ -39,10 +39,10 @@ number of rows pushed, so runs stay deterministic. Shifting by c keeps
 m m^T small next to the scatter, so the subtraction does not cancel when
 the features sit far from the origin.
 
-A state is built from warm-start samples, so its summary always exists:
-QueueState(capacity, samples) fills the ring with the last capacity rows
-and EmaState(beta, samples) summarizes all of them. The caller owns a
-state, and its commit updates it in place.
+A state is built warm, so its summary always exists: QueueState(capacity,
+samples) fills the ring with the last capacity warm-start rows, and
+EmaState(beta, stats) starts from the warm-start population's statistics.
+The caller owns a state, and its commit updates it in place.
 
 Inputs are checked where they enter: at the state constructors and the
 trainer's config. estimate, backprop_estimate and commit are the training
@@ -67,7 +67,6 @@ from .frechet import (
 __all__ = [
     "QueueState",
     "EmaState",
-    "held_stats",
     "estimate",
     "backprop_estimate",
 ]
@@ -127,15 +126,14 @@ class QueueState:
 
 
 class EmaState:
-    """Exponential moving summary, first the mean and covariance of the
-    warm-start samples: each commit keeps the merge of the previous summary
-    (fraction beta) with the batch."""
+    """Exponential moving summary, first the warm-start population's stats:
+    each commit keeps the merge of the previous summary (fraction beta) with
+    the batch."""
 
-    def __init__(self, beta: float, samples: np.ndarray):
+    def __init__(self, beta: float, stats: GaussianStats):
         if not (0.0 <= beta < 1.0):
             raise DataError(f"beta must lie in [0, 1), got {beta}")
         self.beta = float(beta)
-        stats = Moments(row_blocks(check_rows(samples, "warm-start samples"))).stats()
         self.mu, self.sigma = stats.mu, stats.sigma
 
     def history(self, b: int) -> tuple[float, float]:
@@ -146,15 +144,6 @@ class EmaState:
         """Keep the step's merged statistics as the summary (the batch is
         already in them)."""
         self.mu, self.sigma = stats.mu, stats.sigma
-
-
-def held_stats(state) -> GaussianStats:
-    """Statistics of a state's history summary: those of a queue's stored
-    rows, or the EMA's running summary."""
-    # with no batch rows the merge is the history itself
-    _, weight = state.history(0)
-    # validated: finite rows can still overflow the covariance
-    return GaussianStats(state.mu, state.sigma, weight)
 
 
 def _rebuild(q: QueueState) -> None:

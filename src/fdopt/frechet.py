@@ -32,6 +32,7 @@ external FID tools use 1/(n-1) instead.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,11 +131,12 @@ def check_rows(rows, what: str, dim: int | None = None, first: int = 0) -> np.nd
 
 def split_stats(specs, split, what: str) -> list[GaussianStats]:
     """Mean and population covariance (divisor n) of featurize(spec, split)
-    for each spec, in one pass, a block at a time. A matrix split is checked
-    here (check_rows); blocks come checked from formats.read_feature_blocks,
-    so only their width is checked against in_dim."""
+    for each spec, in one pass, a block at a time. An iterator yields blocks
+    that come checked from formats.read_feature_blocks, so only their width
+    is checked against in_dim; any other split is a matrix, checked here
+    (check_rows)."""
     dim = specs[0].in_dim
-    if isinstance(split, np.ndarray):
+    if not isinstance(split, Iterator):
         split = row_blocks(check_rows(split, what, dim))
     sums = [Moments() for _ in specs]
     for block in split:

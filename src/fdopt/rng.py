@@ -75,6 +75,8 @@ class SplitMix64:
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller."""
+        if n < 0:
+            raise ValueError("n must be nonnegative")
         pairs = (n + 1) // 2
         # one draw: the first half are the radius uniforms, the second the angles
         u = self.uniforms(2 * pairs)

@@ -7,10 +7,10 @@ Each step runs the chain
       -> manual backprop of the same chain -> AdamW step -> estimator commit
 
 so the statistics that enter the loss aggregate far more samples than one
-batch while gradients flow only through the live batch. Estimators are
-warm-started from base-model samples before step 0, making the first
-distance estimate meaningful; the warm-start evaluation is logged as the
-step-0 record that convergence is measured against.
+batch while gradients flow only through the live batch. Before step 0 one
+large-sample evaluation of the starting model warm-starts the estimators,
+making the first distance estimate meaningful, and is logged as the step-0
+record that convergence is measured against.
 
 All randomness flows through named SplitMix64 streams derived from the run
 seed (noise, warm start) or the target's sample seed (reference draws), so
@@ -25,12 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, NonFiniteDataError, NonFiniteLossError
-from .estimators import EmaState, QueueState, backprop_estimate, estimate, held_stats
+from .estimators import EmaState, QueueState, backprop_estimate, estimate
 from .formats import read_features
 from .frechet import (
     BLOCK_ROWS,
     ReferenceStats,
-    check_rows,
     fd,
     fd_with_grad,
     make_reference,
@@ -425,8 +424,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (0 <= self.warmup_steps <= self.total_steps):
             raise ConfigError(
-                f"need 0 <= warmup_steps <= total_steps, got "
-                f"{self.warmup_steps} vs {self.total_steps}"
+                f"warmup_steps must lie in [0, total_steps = {self.total_steps}], "
+                f"got {self.warmup_steps}"
             )
         if not (0.0 < self.peak_lr < math.inf):
             raise ConfigError(f"peak_lr must be finite and > 0, got {self.peak_lr}")
@@ -447,8 +446,8 @@ class TrainConfig:
             raise ConfigError(f"ema_beta must lie in [0, 1), got {self.ema_beta}")
         if self.queue_capacity < self.batch_size and self.estimator == "queue":
             raise ConfigError(
-                f"queue capacity {self.queue_capacity} below batch size "
-                f"{self.batch_size}"
+                f"queue_capacity must be >= batch_size {self.batch_size}, got "
+                f"{self.queue_capacity}"
             )
         if self.warm_start_count is not None:
             # a queue warm start fills the whole ring
@@ -510,20 +509,23 @@ class MetricsLog:
 
 def _references(config: TrainConfig) -> list[ReferenceStats]:
     rows = target_reference_rows(config.target, config.effective_warm_start)
-    if rows.shape[1] != config.out_dim:
-        raise DataError(
-            f"target rows have dim {rows.shape[1]}, generator produces "
-            f"{config.out_dim}"
-        )
     stats = split_stats(config.ensemble.specs, rows, "target rows")
     return [make_reference(s) for s in stats]
 
 
-def _eval_model(config, model, refs, stream) -> list[float]:
-    """Large-sample per-representation distances for a model snapshot."""
+def _evaluate(config: TrainConfig, model: GeneratorModel, refs, noise_name: str):
+    """Large-sample evaluation of a model: effective_warm_start rows from the
+    named noise stream, generated, with their stats and distance per space.
+    Returns (rows, stats, distances)."""
+    stream = SplitMix64(derive_seed(noise_name, config.seed))
     x = generate(model, stream.normal_matrix(config.effective_warm_start, config.z_dim))
     stats = split_stats(config.ensemble.specs, x, "generated samples")
-    return [fd(ref, gen) for ref, gen in zip(refs, stats)]
+    return x, stats, [fd(ref, s) for ref, s in zip(refs, stats)]
+
+
+def _record(config: TrainConfig, phase: str, step: int, lr: float, fds) -> TrainRecord:
+    loss, _ = ensemble_loss(config.ensemble, fds)
+    return TrainRecord(phase, step, lr, loss, tuple(fds))
 
 
 def post_train(
@@ -535,35 +537,34 @@ def post_train(
     samples, each representation's feature moments, the loss and the new
     parameters are finite, else raises NonFiniteLossError.
 
-    The log holds one warm_start record (large-sample evaluation of the
-    starting model, the step-0 distance), one train record per step with
-    the estimator-based distances that produced the loss, and — when any
-    steps ran — one final record evaluated like the warm-start one.
+    The log holds one warm_start record (_evaluate of the starting model,
+    the step-0 distance), one train record per step with the
+    estimator-based distances that produced the loss, and — when any steps
+    ran — one final record evaluated like the warm-start one. Each EMA
+    starts from the warm evaluation's stats, each queue from its last
+    queue_capacity rows.
     """
     model = initial_model
     if model is None:
         model = GeneratorModel.init(config.layer_dims, config.seed)
-    if model.z_dim != config.z_dim or model.out_dim != config.out_dim:
+    if model.layer_dims != config.layer_dims:
         raise ConfigError(
-            f"model maps {model.z_dim} -> {model.out_dim}, config expects "
-            f"{config.z_dim} -> {config.out_dim}"
+            f"model layers {model.layer_dims} do not match config layers "
+            f"{config.layer_dims}"
         )
     refs = _references(config)
     log = MetricsLog(labels=rep_labels(config.ensemble))
 
-    warm_stream = SplitMix64(derive_seed("warm-start-noise", config.seed))
-    zw = warm_stream.normal_matrix(config.effective_warm_start, config.z_dim)
-    xw = check_rows(generate(model, zw), "generated samples")
+    xw, warm_stats, warm_fds = _evaluate(config, model, refs, "warm-start-noise")
+    log.records.append(_record(config, "warm_start", 0, 0.0, warm_fds))
     if config.estimator == "queue":
-        kind, param = QueueState, config.queue_capacity
+        tail = xw[-config.queue_capacity :]
+        states = [
+            QueueState(config.queue_capacity, featurize(spec, tail))
+            for spec in config.ensemble.specs
+        ]
     else:
-        kind, param = EmaState, config.ema_beta
-    states = [kind(param, featurize(spec, xw)) for spec in config.ensemble.specs]
-    warm_fds = [fd(ref, held_stats(state)) for ref, state in zip(refs, states)]
-    warm_loss, _ = ensemble_loss(config.ensemble, warm_fds)
-    log.records.append(
-        TrainRecord("warm_start", 0, 0.0, warm_loss, tuple(warm_fds))
-    )
+        states = [EmaState(config.ema_beta, stats) for stats in warm_stats]
 
     fit = _Fit(model, config.batch_size, config.beta1, config.beta2, config.weight_decay)
     noise = SplitMix64(derive_seed("train-noise", config.seed))
@@ -612,18 +613,9 @@ def post_train(
     model = fit.model
 
     if config.total_steps > 0:
-        final_stream = SplitMix64(derive_seed("final-eval-noise", config.seed))
-        final_fds = _eval_model(config, model, refs, final_stream)
-        final_loss, _ = ensemble_loss(config.ensemble, final_fds)
-        log.records.append(
-            TrainRecord(
-                "final",
-                config.total_steps,
-                lr_at(config.total_steps, config),
-                final_loss,
-                tuple(final_fds),
-            )
-        )
+        _, _, fds = _evaluate(config, model, refs, "final-eval-noise")
+        steps = config.total_steps
+        log.records.append(_record(config, "final", steps, lr_at(steps, config), fds))
     return model, log
 
 

@@ -23,7 +23,6 @@ from fdopt.estimators import (
     QueueState,
     backprop_estimate,
     estimate,
-    held_stats,
 )
 from fdopt.frechet import (
     GaussianStats,
@@ -72,7 +71,9 @@ def random_pd(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def identity_fd_series(log):
-    """(step-0 value, final value) of the large-sample identity-space FD."""
+    """(warm_start, final) identity-space FD of a log: both rows come from
+    the trainer's one large-sample evaluation, so every estimator arm of a
+    seed starts from the same value."""
     assert log.records[0].phase == "warm_start"
     assert log.records[-1].phase == "final"
     return log.records[0].fds[0], log.records[-1].fds[0]
@@ -174,7 +175,7 @@ def test_gradient_suite(criterion):
                 if kind == "queue":
                     state = QueueState(8, history)
                 else:
-                    state = EmaState(0.9, history)
+                    state = EmaState(0.9, stats_from_features(history))
 
                 def pipeline(batch2d):
                     return fd(ref, estimate(state, batch2d))
@@ -253,7 +254,8 @@ def _check_end_to_end_instance(seed: int) -> None:
     for spec in ensemble.specs:
         feats = featurize(spec, rng.normal(size=(40, 2)))
         refs.append(make_reference(stats_from_features(feats)))
-        states.append(EmaState(0.9, featurize(spec, rng.normal(size=(12, 2)))))
+        warm = featurize(spec, rng.normal(size=(12, 2)))
+        states.append(EmaState(0.9, stats_from_features(warm)))
 
     def per_rep_fds(m):
         samples = generate(m, z)
@@ -309,24 +311,24 @@ def test_estimator_oracles(criterion):
         for seed in range(5):
             d = 3
             beta = (0.5, 0.9, 0.99, 0.999, 0.3)[seed]
-            state = EmaState(beta, SplitMix64(seed).normal_matrix(16, d))
-            held = held_stats(state)
-            mu0, m0 = held.mu, held.sigma + np.outer(held.mu, held.mu)
+            warm = stats_from_features(SplitMix64(seed).normal_matrix(16, d))
+            state = EmaState(beta, warm)
+            mu0, m0 = warm.mu, warm.sigma + np.outer(warm.mu, warm.mu)
             moments = []
             for k in range(100):
                 batch = SplitMix64(1000 * seed + k).normal_matrix(4, d)
                 moments.append((batch.mean(axis=0), batch.T @ batch / 4))
                 state.commit(batch, estimate(state, batch))
             want_mu, want_m = ema_replay_oracle(mu0, m0, moments, beta)
-            held = held_stats(state)
             want_sigma = want_m - np.outer(want_mu, want_mu)
-            assert np.abs(held.mu - want_mu).max() <= 1e-10
-            assert np.abs(held.sigma - want_sigma).max() <= 1e-10
+            assert np.abs(state.mu - want_mu).max() <= 1e-10
+            assert np.abs(state.sigma - want_sigma).max() <= 1e-10
 
         # beta = 0 reduces exactly to batch-only statistics
         for seed in range(5):
             d = 2 + seed
-            state = EmaState(0.0, SplitMix64(seed).normal_matrix(10, d))
+            warm = stats_from_features(SplitMix64(seed).normal_matrix(10, d))
+            state = EmaState(0.0, warm)
             batch = SplitMix64(50 + seed).normal_matrix(6, d)
             stats = estimate(state, batch)
             direct = stats_from_features(batch)

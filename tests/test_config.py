@@ -280,6 +280,11 @@ class TestBuild:
             ({"rep.1.seed = 9": "rep.1.seed = -1"}, r"ensemble\.rep\.1\.seed must"),
             ({"rep.1.out_dim = 6": "rep.1.out_dim = 0"}, r"ensemble\.rep\.1\.out_dim must"),
             ({"c = 0.02": "c = 0"}, r"ensemble\.c must be > 0"),
+            # [estimator] keys set TrainConfig fields of other names
+            ({"beta = 0.95": "beta = 1.5"}, r"estimator\.beta must lie in \[0, 1\)"),
+            ({"kind = queue": "kind = fifo"}, r"estimator\.kind must be queue or ema"),
+            ({"capacity = 256": "capacity = 2"}, r"estimator\.capacity must be >= batch_size"),
+            ({"warmup_steps = 5": "warmup_steps = 51"}, r"trainer\.warmup_steps must lie"),
         ],
     )
     def test_out_of_range_values_name_their_field(self, edits, field):

@@ -10,7 +10,6 @@ from fdopt.estimators import (
     QueueState,
     backprop_estimate,
     estimate,
-    held_stats,
 )
 from fdopt.frechet import (
     GaussianStats,
@@ -36,7 +35,7 @@ def warm_queue(seed: int, capacity: int, dim: int) -> QueueState:
 
 def warm_ema(seed: int, beta: float, dim: int, rows: int = 16) -> EmaState:
     samples = SplitMix64(seed).normal_matrix(rows, dim)
-    return EmaState(beta, samples)
+    return EmaState(beta, stats_from_features(samples))
 
 
 def commit(state, batch: np.ndarray):
@@ -139,16 +138,15 @@ class TestQueueRunningSums:
         q = warm_queue(50, 64, 3)
         # right after a rebuild: the dense statistics of the rows, bit for bit
         dense = stats_from_features(queue_contents(q))
-        held = held_stats(q)
-        assert held.mu.tobytes() == dense.mu.tobytes()
-        assert held.sigma.tobytes() == dense.sigma.tobytes()
+        assert q.mu.tobytes() == dense.mu.tobytes()
+        assert q.sigma.tobytes() == dense.sigma.tobytes()
         for k in range(3):
             q = commit(q, 5.0 + SplitMix64(51 + k).normal_matrix(16, 3))
         mu, cov = population_stats_oracle(queue_contents(q))
-        held = held_stats(q)
-        assert relative_error(held.mu, mu) < 1e-12
-        assert relative_error(held.sigma, cov) < 1e-12
-        assert held.weight == 64.0
+        assert relative_error(q.mu, mu) < 1e-12
+        assert relative_error(q.sigma, cov) < 1e-12
+        # with no batch rows the merge is the held rows themselves
+        assert q.history(0) == (1.0, 64.0)
 
     def test_dense_rebuild_once_per_turnover(self, monkeypatch):
         import fdopt.estimators as estimators_module
@@ -210,8 +208,9 @@ class TestEmaMoments:
         assert np.abs(stats.sigma - sigma_naive).max() <= 1e-12
 
     def test_empty_rejected(self):
+        # an EMA starts from a population's stats; an empty one has none
         with pytest.raises(DataError):
-            EmaState(0.9, np.empty((0, 3)))
+            EmaState(0.9, stats_from_features(np.empty((0, 3))))
 
 
 def batch_moments(batch: np.ndarray):
@@ -236,7 +235,7 @@ class TestEmaBlend:
         d, b, n = 4, 32, 64
         warm = offset + SplitMix64(68).normal_matrix(n, d)
         batch = offset + SplitMix64(69).normal_matrix(b, d)
-        stats = estimate(EmaState(beta, warm), batch)
+        stats = estimate(EmaState(beta, stats_from_features(warm)), batch)
         rows = np.concatenate([warm, batch])
         w = np.concatenate([np.full(n, beta / n), np.full(b, (1.0 - beta) / b)])
         mu = np.average(rows, axis=0, weights=w)
@@ -251,7 +250,7 @@ class TestEmaBlend:
     def test_fixed_point_on_warm_start_batch(self):
         batch = SplitMix64(62).normal_matrix(16, 2)
         for beta in [0.0, 0.5, 0.999]:
-            s = EmaState(beta, batch)
+            s = EmaState(beta, stats_from_features(batch))
             stats = estimate(s, batch)
             assert np.allclose(stats.mu, s.mu, atol=1e-14)
             assert np.allclose(stats.sigma, s.sigma, atol=1e-14)
@@ -267,9 +266,8 @@ class TestEmaBlend:
             history.append(batch_moments(batch))
             s = commit(s, batch)
         mu_want, m_want = ema_replay_oracle(mu0, m0, history, beta)
-        held = held_stats(s)
-        assert np.abs(held.mu - mu_want).max() <= 1e-10
-        assert np.abs(held.sigma - (m_want - np.outer(mu_want, mu_want))).max() <= 1e-10
+        assert np.abs(s.mu - mu_want).max() <= 1e-10
+        assert np.abs(s.sigma - (m_want - np.outer(mu_want, mu_want))).max() <= 1e-10
 
     def test_commit_round_trip(self):
         s = warm_ema(64, 0.9, 2)
@@ -301,10 +299,9 @@ class TestEmaBlend:
 class TestWarmStart:
     def test_ema_single_row(self):
         x = np.array([[3.0, -1.0]])
-        s = EmaState(0.9, x)
-        held = held_stats(s)
-        assert np.allclose(held.mu, x[0])
-        assert np.allclose(held.sigma, np.zeros((2, 2)))
+        s = EmaState(0.9, stats_from_features(x))
+        assert np.allclose(s.mu, x[0])
+        assert np.allclose(s.sigma, np.zeros((2, 2)))
 
     def test_queue_exact_capacity_preserves_order(self):
         rows = SplitMix64(70).normal_matrix(5, 2)
@@ -328,7 +325,7 @@ class TestWarmStart:
     @pytest.mark.parametrize("beta", [-0.1, 1.0, 1.5, float("nan")])
     def test_ema_beta_outside_unit_interval_rejected(self, beta):
         with pytest.raises(DataError, match=r"beta must lie in \[0, 1\)"):
-            EmaState(beta, np.zeros((3, 2)))
+            EmaState(beta, stats_from_features(np.zeros((3, 2))))
 
     def test_queue_owns_its_rows(self):
         rows = SplitMix64(72).normal_matrix(4, 2)
@@ -360,7 +357,7 @@ class TestEstimatorBackprop:
         # B=1, d=1, beta=0: stats are (x, 0), so fd = (x - mu_r)^2 + sigma_r
         # and the exact gradient is 2 (x - mu_r).
         ref = make_reference(GaussianStats(np.array([0.5]), np.eye(1), 1.0))
-        s = EmaState(0.0, np.array([[0.0]]))
+        s = EmaState(0.0, stats_from_features(np.array([[0.0]])))
         batch = np.array([[2.0]])
         _, grad = fd_with_grad(ref, estimate(s, batch))
         g = backprop(s, batch, grad.d_mu, grad.d_sigma)

@@ -221,6 +221,17 @@ class TestBlockedMoments:
         with pytest.raises(DataError, match="n x 2"):
             split_stats([spec], np.ones((5, 3)), "samples")
 
+    def test_only_an_iterator_is_taken_as_blocks(self):
+        # a list of rows is a matrix, checked like an array
+        spec = RepresentationSpec("identity", 0, 2, 2)
+        rows = [[1.0, 2.0], [3.0, 4.0]]
+        stats = split_stats([spec], rows, "samples")[0]
+        assert stats.mu.tobytes() == stats_from_features(np.array(rows)).mu.tobytes()
+        with pytest.raises(DataError, match="samples must be a nonempty n x d"):
+            split_stats([spec], [1.0, 2.0], "samples")
+        with pytest.raises(DataError, match="n x 2"):
+            split_stats([spec], [[1.0, 2.0, 3.0]], "samples")
+
 
 class TestGaussianStats:
     def test_rejects_negative_weight(self):

@@ -62,6 +62,9 @@ def test_nonpositive_uniform_block_rejected_before_the_stream_moves(block):
         (lambda s: s.normal_blocks(-5, 2, 4), "n must be nonnegative"),
         (lambda s: s.normal_blocks(5, 2, 0), "block_rows must be >= 1, got 0"),
         (lambda s: s.normal_blocks(5, 2, -2), "block_rows must be >= 1, got -2"),
+        # n = -1 would round to zero Box-Muller pairs
+        (lambda s: s.normals(-1), "n must be nonnegative"),
+        (lambda s: s.normal_matrix(-1, 1), "n must be nonnegative"),
     ],
 )
 def test_bad_block_draw_rejected_before_the_stream_moves(draw, match):

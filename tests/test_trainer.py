@@ -30,7 +30,6 @@ from oracles import (
     adam_scalar_replay,
     central_difference,
     mlp_forward_oracle,
-    queue_contents,
     relative_error,
     stats_from_features,
 )
@@ -313,17 +312,17 @@ def reference_post_train(config):
         stream = SplitMix64(derive_seed(noise_name, config.seed))
         return generate(model, stream.normal_matrix(count, config.z_dim))
 
+    # one warm evaluation whatever the estimator: its stats start each EMA,
+    # its last capacity rows each queue
     xw = evaluate("warm-start-noise")
     states, warm_fds = [], []
     for spec, ref in zip(specs, refs):
         feats = featurize(spec, xw)
+        stats = stats_from_features(feats)
         if queue:
-            state = QueueState(config.queue_capacity, feats)
-            stats = stats_from_features(queue_contents(state))
+            states.append(QueueState(config.queue_capacity, feats))
         else:
-            state = EmaState(config.ema_beta, feats)
-            stats = stats_from_features(feats)
-        states.append(state)
+            states.append(EmaState(config.ema_beta, stats))
         warm_fds.append(fd(ref, stats))
     out = [record("warm_start", 0, 0.0, warm_fds)]
 
@@ -398,6 +397,30 @@ class TestPostTrain:
         assert len(log.records) == 1
         assert log.records[0].phase == "warm_start"
 
+    def test_model_layers_must_match_config(self):
+        # same noise and output widths, another hidden stack
+        cfg = self.small_config()
+        for dims in ((3, 7, 2), (3, 5, 5, 2)):
+            with pytest.raises(ConfigError, match="do not match"):
+                post_train(cfg, initial_model=GeneratorModel.init(dims, seed=0))
+
+    def test_every_estimator_logs_one_warm_row_per_model(self):
+        # a queue of 8B keeps far fewer rows than the warm evaluation draws,
+        # yet its step-0 row is the same large-sample evaluation
+        arms = [
+            dict(estimator="ema", ema_beta=0.0),
+            dict(estimator="ema", ema_beta=0.9),
+            dict(estimator="queue", queue_capacity=32),
+        ]
+        rows = []
+        for arm in arms:
+            cfg = self.small_config(batch_size=4, warm_start_count=None, **arm)
+            assert cfg.queue_capacity < cfg.effective_warm_start
+            _, log = post_train(cfg)
+            rows.append(log.rows()[0])
+        assert rows[0][0] == "warm_start"
+        assert rows[1] == rows[0] and rows[2] == rows[0]
+
     def test_training_leaves_caller_model_intact(self):
         cfg = self.small_config()
         initial = GeneratorModel.init(cfg.layer_dims, seed=4)
@@ -452,7 +475,7 @@ class TestPostTrain:
             if estimator == "queue":
                 states.append(QueueState(24, feats))
             else:
-                states.append(EmaState(0.9, feats))
+                states.append(EmaState(0.9, stats_from_features(feats)))
         z = stream.normal_matrix(cfg.batch_size, cfg.z_dim)
 
         base_fds, analytic = frozen_chain(cfg, model, refs, states, z)
