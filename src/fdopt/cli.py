@@ -2,8 +2,11 @@
 
 Exit codes: 0 success; 1 usage error (bad flags, unknown subcommand);
 2 data or format error (missing files, bad magic, truncation, config
-typos, shape mismatches, non-finite inputs); 3 numerical failure
-(non-finite loss, eigensolver non-convergence, report write failure).
+typos, shape mismatches, non-finite inputs, and text inputs that do not
+parse: a config or metrics log that is not UTF-8, a log cell that is not
+a number); 3 numerical failure (non-finite loss, eigensolver
+non-convergence, report write failure). Each input is checked once, by
+its reader; `sample` and `train --init` run GeneratorModel(*read_checkpoint).
 A `train` run that goes non-finite writes no checkpoint at --out; it
 writes the last model with all parameters finite to <out>.last_good.
 
@@ -69,11 +72,6 @@ def _sniff_magic(path: str) -> bytes:
         return handle.read(4)
 
 
-def _load_model(path: str) -> GeneratorModel:
-    weights, biases = read_checkpoint(path)
-    return GeneratorModel(weights=tuple(weights), biases=tuple(biases))
-
-
 def _cmd_compute_stats(args) -> int:
     stats = Moments(read_feature_blocks([args.features]), owned=True).stats()
     write_stats(args.out, stats)
@@ -130,9 +128,7 @@ def _cmd_train(args) -> int:
     loaded = load_config(args.config)
     if loaded.train is None:
         raise DataError(f"{args.config}: missing [target] section; nothing to train")
-    initial = None
-    if args.init is not None:
-        initial = _load_model(args.init)
+    initial = None if args.init is None else GeneratorModel(*read_checkpoint(args.init))
     try:
         model, log = post_train(loaded.train, initial_model=initial)
     except NonFiniteLossError as err:
@@ -174,7 +170,7 @@ def _cmd_pretrain(args) -> int:
 def _cmd_sample(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
-    model = _load_model(args.ckpt)
+    model = GeneratorModel(*read_checkpoint(args.ckpt))
     stream = SplitMix64(derive_seed("sample-noise", args.seed))
     # each block's noise is drawn just before its forward and written after it
     noise = stream.normal_blocks(args.n, model.z_dim, BLOCK_ROWS)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .formats import read_text
 from .representations import (
     RepresentationEnsemble,
     RepresentationSpec,
@@ -285,5 +286,4 @@ def build_config(sections: dict[str, dict[str, str]]) -> LoadedConfig:
 
 
 def load_config(path: str) -> LoadedConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        return build_config(parse_config(handle.read()))
+    return build_config(parse_config(read_text(path, ConfigError)))

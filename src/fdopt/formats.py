@@ -4,17 +4,20 @@ Formats (all little-endian):
 
     features   "FDF1" | u32 n | u32 d | n*d f32, row-major
     stats      "FDS1" | u32 d | f64 weight | d f64 mean | d*d f64 cov, row-major
-    checkpoint "FDC1" | u32 L | L x (u32 in, u32 out) | per layer: f64 W
-               (out x in, row-major) then f64 b (out)
+    checkpoint "FDC1" | u32 L | L x (u32 in, u32 out) | theta: f64 W0
+               (out x in, row-major), b0 (out), W1, b1, ...
 
 Feature payloads are 32-bit (bulk dumps), written and read one BLOCK_ROWS
 block at a time and upcast to float64 on load; statistics and parameters
-are 64-bit (numerically sensitive). Every writer goes through a temp file
-in the destination directory, then os.replace: no reader sees a partial file.
+are 64-bit (numerically sensitive). A checkpoint's payload is the
+generator's flat parameter vector theta, which read_checkpoint checks
+and returns whole. Every writer goes through a temp file in the
+destination directory, then os.replace: no reader sees a partial file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import tempfile
@@ -67,16 +70,20 @@ class _Reader:
         self.size = len(payload) if size is None else size  # bytes in the file
         self.pos = 0
 
-    def take(self, count: int, what: str) -> bytes:
-        end = self.pos + count
+    def skip(self, count: int, what: str) -> int:
+        """Moves past count bytes, checking only that the file holds them;
+        returns where they start."""
+        start, end = self.pos, self.pos + count
         if end > self.size:
             raise TruncatedFileError(
                 f"{self.path}: truncated while reading {what}: expected "
                 f"{end} bytes, file has {self.size}"
             )
-        chunk = self.payload[self.pos : end]
         self.pos = end
-        return chunk
+        return start
+
+    def take(self, count: int, what: str) -> bytes:
+        return self.payload[self.skip(count, what) : self.pos]
 
     def expect_magic(self, magic: bytes) -> None:
         got = self.payload[:4]
@@ -101,6 +108,15 @@ class _Reader:
         extra = self.size - self.pos
         if extra:
             raise DataError(f"{self.path}: {extra} unexpected trailing bytes")
+
+
+def read_text(path: str, error=DataError) -> str:
+    """A file's UTF-8 text; bytes that do not decode raise error naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def write_features(path: str, rows: np.ndarray) -> None:
@@ -132,30 +148,36 @@ def read_feature_blocks(paths):
     """The rows of one or more features files, read as one split: float64
     blocks of BLOCK_ROWS rows (the last may be shorter) that run across file
     boundaries. Every header and file size is checked here, before any
-    payload is read; a non-finite row is named by its index in the split."""
-    headers = []
-    for path in paths:
-        with open(path, "rb") as handle:
-            reader = _Reader(handle.read(12), path, os.fstat(handle.fileno()).st_size)
-        reader.expect_magic(FEATURES_MAGIC)
-        n, d = reader.u32("row count"), reader.u32("column count")
-        if n < 1 or d < 1:
-            raise DataError(f"{path}: header declares empty matrix {n} x {d}")
-        reader.take(4 * n * d, f"{n}x{d} feature payload")  # checks the size only
-        reader.expect_end()
-        headers.append((path, n, d))
-    dims = sorted({d for _, _, d in headers})
-    if len(dims) > 1:
-        raise DataError(f"feature files disagree on dimension: {dims}")
-    return _split_blocks(headers, ", ".join(paths))
+    payload is read; a non-finite row is named by its index in the split.
+    Each file is opened once, so a file replaced after its header was
+    checked is still read whole; the handles close with the split."""
+    blocks = _split_blocks(paths)
+    next(blocks)  # the headers are checked
+    return blocks
 
 
-def _split_blocks(headers, name: str):
-    total = sum(n for _, n, _ in headers)
-    pieces, count, first = [], 0, 0
-    for path, n, d in headers:
-        with open(path, "rb") as handle:
-            handle.seek(12)
+def _split_blocks(paths):
+    with contextlib.ExitStack() as stack:
+        headers = []
+        for path in paths:
+            handle = stack.enter_context(open(path, "rb"))
+            size = os.fstat(handle.fileno()).st_size
+            reader = _Reader(handle.read(12), path, size)
+            reader.expect_magic(FEATURES_MAGIC)
+            n, d = reader.u32("row count"), reader.u32("column count")
+            if n < 1 or d < 1:
+                raise DataError(f"{path}: header declares empty matrix {n} x {d}")
+            reader.skip(4 * n * d, f"{n}x{d} feature payload")
+            reader.expect_end()
+            headers.append((handle, n, d))
+        dims = sorted({d for _, _, d in headers})
+        if len(dims) > 1:
+            raise DataError(f"feature files disagree on dimension: {dims}")
+        yield
+
+        name, total = ", ".join(paths), sum(n for _, n, _ in headers)
+        pieces, count, first = [], 0, 0
+        for handle, n, d in headers:
             while n:
                 take = min(BLOCK_ROWS - count, n)
                 chunk = np.frombuffer(handle.read(4 * take * d), dtype="<f4")
@@ -196,7 +218,7 @@ def write_checkpoint(path: str, weights, biases) -> None:
     if len(weights) != len(biases) or not weights:
         raise DataError("checkpoint needs matching, nonempty weight/bias lists")
     header = CHECKPOINT_MAGIC + struct.pack("<I", len(weights))
-    body = b""
+    params = []
     prev_out = None
     for w, b in zip(weights, biases):
         w = np.asarray(w, dtype=np.float64)
@@ -212,13 +234,16 @@ def write_checkpoint(path: str, weights, biases) -> None:
             )
         prev_out = out_dim
         header += struct.pack("<II", in_dim, out_dim)
-        body += np.ascontiguousarray(w, dtype="<f8").tobytes()
-        body += np.ascontiguousarray(b, dtype="<f8").tobytes()
-    atomic_write_bytes(path, header + body)
+        params += [w.ravel(), b]
+    atomic_write_chunks(path, (header, np.concatenate(params, dtype="<f8")))
 
 
 def read_checkpoint(path: str):
-    """Returns (weights, biases) lists; W is out x in, row-major."""
+    """Returns (layer_dims, theta): the generator's widths (z_dim, hidden...,
+    out_dim) and its parameters, the payload read as one float64 vector
+    laid out W0, b0, W1, b1, ... with each W out x in, row-major. This is
+    the one check of a loaded model: its layers chain, and every parameter
+    is finite."""
     with open(path, "rb") as handle:
         reader = _Reader(handle.read(), path)
     reader.expect_magic(CHECKPOINT_MAGIC)
@@ -235,19 +260,20 @@ def read_checkpoint(path: str):
                 f"{path}: layer dims do not chain: layer {i - 1} out "
                 f"{dims[i - 1][1]} vs layer {i} in {dims[i][0]}"
             )
-    weights, biases = [], []
+    start = reader.pos
     for i, (in_dim, out_dim) in enumerate(dims):
         if in_dim < 1 or out_dim < 1:
             raise DataError(f"{path}: layer {i} has zero dimension")
-        w = reader.array(out_dim * in_dim, "<f8", f"layer {i} weights")
-        b = reader.array(out_dim, "<f8", f"layer {i} biases")
-        weights.append(w.reshape(out_dim, in_dim))
-        biases.append(b)
+        reader.skip(8 * out_dim * in_dim, f"layer {i} weights")
+        reader.skip(8 * out_dim, f"layer {i} biases")
     reader.expect_end()
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise NonFiniteDataError(f"{path}: layer {i} has non-finite parameters")
-    return weights, biases
+    theta = np.frombuffer(reader.payload, "<f8", offset=start).astype(np.float64)
+    finite = np.isfinite(theta)
+    if not finite.all():
+        ends = np.cumsum([(in_dim + 1) * out_dim for in_dim, out_dim in dims])
+        layer = np.searchsorted(ends, np.argmin(finite), side="right")
+        raise NonFiniteDataError(f"{path}: layer {layer} has non-finite parameters")
+    return (dims[0][0],) + tuple(out_dim for _, out_dim in dims), theta
 
 
 def format_sig9(value: float) -> str:
@@ -298,19 +324,21 @@ def write_metrics_log(path: str, labels, rows) -> None:
 
 def read_metrics_log(path: str):
     """Returns (labels, rows) mirroring metrics_log_text input."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().strip().split("\n")
-    if not lines or not lines[0].startswith("phase,step,lr,loss"):
+    text = read_text(path)
+    lines = text.strip().split("\n")
+    if not lines[0].startswith("phase,step,lr,loss"):
         raise DataError(f"{path}: missing metrics log header")
     headers = lines[0].split(",")
     labels = [h[len("fd_") :] for h in headers[4:]]
     rows = []
-    for line in lines[1:]:
+    header_line = text.count("\n", 0, len(text) - len(text.lstrip())) + 1
+    for lineno, line in enumerate(lines[1:], start=header_line + 1):
         cells = line.split(",")
-        if len(cells) != len(headers):
-            raise DataError(f"{path}: malformed log row {line!r}")
-        rows.append(
-            (cells[0], int(cells[1]), float(cells[2]), float(cells[3]))
-            + tuple(float(v) for v in cells[4:])
-        )
+        try:
+            row = (cells[0], int(cells[1])) + tuple(map(float, cells[2:]))
+        except (IndexError, ValueError):
+            row = ()
+        if len(row) != len(headers):
+            raise DataError(f"{path}: line {lineno}: malformed log row {line!r}")
+        rows.append(row)
     return labels, rows

@@ -74,40 +74,15 @@ __all__ = [
 class GeneratorModel:
     """Feed-forward net, tanh hidden layers, identity output layer.
 
-    The parameters are one flat vector theta, laid out W0, b0, W1, b1, ...;
-    weights[l] (out x in) and biases[l] are views into it, and the forward
-    computes x @ W^T + b per layer. Training builds a new theta at each
-    update and never writes into a model's vector.
+    A model is its widths layer_dims = (z_dim, hidden..., out_dim) and one
+    flat float64 vector theta, laid out W0, b0, W1, b1, ...; weights[l]
+    (out x in) and biases[l] are views into it, and the forward computes
+    x @ W^T + b per layer. The constructor checks nothing: theta comes from
+    init, a training update, or read_checkpoint, which checks a loaded
+    model. Each update builds a new theta and never writes into a model's.
     """
 
-    def __init__(self, weights, biases):
-        if not weights or len(weights) != len(biases):
-            raise DataError("model needs matching, nonempty weight/bias tuples")
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            if w.ndim != 2 or b.shape != (w.shape[0],):
-                raise DataError(f"layer {i}: W {w.shape} incompatible with b {b.shape}")
-            if i and w.shape[1] != weights[i - 1].shape[0]:
-                raise DataError(
-                    f"layer {i} expects {w.shape[1]} inputs but layer {i - 1} "
-                    f"produces {weights[i - 1].shape[0]}"
-                )
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise NonFiniteDataError(f"layer {i} has non-finite parameters")
-        dims = (weights[0].shape[1],) + tuple(w.shape[0] for w in weights)
-        theta = np.concatenate(
-            [np.ravel(a) for layer in zip(weights, biases) for a in layer]
-        ).astype(np.float64, copy=False)
-        self._view(dims, theta)
-
-    @classmethod
-    def unchecked(cls, layer_dims: tuple[int, ...], theta: np.ndarray) -> "GeneratorModel":
-        """The model whose layers view theta, a finite float64 vector laid out
-        as above for layer_dims, without checking it again."""
-        model = object.__new__(cls)
-        model._view(layer_dims, theta)
-        return model
-
-    def _view(self, layer_dims: tuple[int, ...], theta: np.ndarray) -> None:
+    def __init__(self, layer_dims: tuple[int, ...], theta: np.ndarray):
         weights, biases, pos = [], [], 0
         for fan_in, fan_out in zip(layer_dims, layer_dims[1:]):
             weights.append(theta[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
@@ -135,7 +110,7 @@ class GeneratorModel:
             raise DataError(f"layer_dims must list >= 2 positive dims, got {dims}")
         stream = SplitMix64(derive_seed("generator-init", seed, *dims))
         size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
-        model = cls.unchecked(dims, np.zeros(size))
+        model = cls(dims, np.zeros(size))
         for w in model.weights:
             fan_out, fan_in = w.shape
             w[...] = stream.normal_matrix(fan_out, fan_in) / math.sqrt(fan_in)
@@ -199,7 +174,7 @@ def generator_backprop(
     activations of the _forward that produced the samples and the gradient
     of a scalar with respect to those samples."""
     grads = np.empty_like(model.theta)
-    layers = GeneratorModel.unchecked(model.layer_dims, grads)
+    layers = GeneratorModel(model.layer_dims, grads)
     delta = sample_grads  # gradient w.r.t. the layer pre-activation
     for l in range(len(model.weights) - 1, -1, -1):
         np.matmul(delta.T, acts[l], out=layers.weights[l])
@@ -268,7 +243,7 @@ class _Fit:
         self.opt, theta = optimizer_step(self.opt, self.model.theta, grads, lr, *self.hyper)
         if not np.isfinite(theta).all():
             raise NonFiniteLossError(step, "parameters", last_good_model=self.model)
-        self.model = GeneratorModel.unchecked(self.model.layer_dims, theta)
+        self.model = GeneratorModel(self.model.layer_dims, theta)
 
 
 def lr_at(step: int, config: "TrainConfig") -> float:

@@ -224,7 +224,7 @@ def test_gradient_suite(criterion):
             out_weights = rng.normal(size=(B, 2))
 
             def scalar_params(flat):
-                probe = GeneratorModel.unchecked(model.layer_dims, flat)
+                probe = GeneratorModel(model.layer_dims, flat)
                 return float(np.sum(out_weights * generate(probe, z)))
 
             got = generator_backprop(model, _forward(model, z, _buffers(model, B)), out_weights)
@@ -280,7 +280,7 @@ def _check_end_to_end_instance(seed: int) -> None:
     denominators = base_fds + ensemble.c
 
     def frozen_loss(flat):
-        fds = per_rep_fds(GeneratorModel.unchecked(model.layer_dims, flat))
+        fds = per_rep_fds(GeneratorModel(model.layer_dims, flat))
         return float(np.sum(np.asarray(ensemble.weights) * fds / denominators))
 
     num = central_difference(frozen_loss, model.theta)
@@ -484,9 +484,9 @@ def test_format_and_cli_determinism(criterion, tmp_path):
 
         model = GeneratorModel.init((4, 8, 2), seed=7)
         write_checkpoint(str(tmp_path / "c.bin"), model.weights, model.biases)
-        w, b = read_checkpoint(str(tmp_path / "c.bin"))
-        assert all(np.array_equal(x, y) for x, y in zip(w, model.weights))
-        assert all(np.array_equal(x, y) for x, y in zip(b, model.biases))
+        dims, theta = read_checkpoint(str(tmp_path / "c.bin"))
+        assert dims == model.layer_dims
+        assert theta.tobytes() == model.theta.tobytes()
 
         # trimmed copy of the bundled config: determinism is independent of
         # the step budget, so keep the double pipeline run quick

@@ -34,6 +34,7 @@ from fdopt.formats import (
     write_stats,
 )
 from fdopt.frechet import BLOCK_ROWS, GaussianStats
+from fdopt.trainer import GeneratorModel
 from oracles import parse_report_csv
 
 
@@ -178,6 +179,17 @@ class TestFeatureBlocks:
         with pytest.raises(TruncatedFileError, match="expected 28 bytes, file has 22"):
             read_feature_blocks([a, c])
 
+    @pytest.mark.parametrize("rows", [10, 3], ids=["same_size", "shorter"])
+    def test_file_replaced_after_its_header_is_read_whole(self, tmp_path, rows):
+        # every writer replaces a file atomically; the split keeps reading the
+        # file whose header it checked
+        path = str(tmp_path / "f.bin")
+        original = np.arange(20.0).reshape(10, 2)
+        write_features(path, original)
+        blocks = read_feature_blocks([path])
+        write_features(path, -original[:rows])
+        assert np.array_equal(np.concatenate(list(blocks)), original)
+
     def test_non_finite_block_mid_write_leaves_no_file(self, tmp_path):
         path = str(tmp_path / "f.bin")
         bad = np.ones((BLOCK_ROWS, 2))
@@ -260,16 +272,65 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         path = str(tmp_path / "c.bin")
         rng = np.random.default_rng(4)
-        dims = [5, 16, 16, 3]
+        dims = (5, 16, 16, 3)
         weights = [rng.normal(size=(o, i)) for i, o in zip(dims, dims[1:])]
         biases = [rng.normal(size=o) for o in dims[1:]]
         write_checkpoint(path, weights, biases)
-        out_w, out_b = read_checkpoint(path)
-        assert len(out_w) == len(weights)
-        for got, want in zip(out_w, weights):
-            assert np.array_equal(got, want)
-        for got, want in zip(out_b, biases):
-            assert np.array_equal(got, want)
+        got_dims, theta = read_checkpoint(path)
+        assert got_dims == dims
+        want = np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+        assert theta.dtype == np.float64
+        assert theta.tobytes() == want.tobytes()
+
+    def test_payload_is_theta(self, tmp_path):
+        path = str(tmp_path / "c.bin")
+        model = GeneratorModel.init((4, 8, 8, 2), seed=3)
+        write_checkpoint(path, model.weights, model.biases)
+        with open(path, "rb") as handle:
+            payload = handle.read()[8 + 8 * 3 :]
+        assert payload == model.theta.astype("<f8").tobytes()
+
+    def test_model_round_trips_theta(self, tmp_path):
+        path = str(tmp_path / "c.bin")
+        model = GeneratorModel.init((3, 16, 2), seed=5)
+        write_checkpoint(path, model.weights, model.biases)
+        loaded = GeneratorModel(*read_checkpoint(path))
+        assert loaded.layer_dims == model.layer_dims
+        assert loaded.theta.tobytes() == model.theta.tobytes()
+
+    @pytest.mark.parametrize(
+        "index, layer",
+        # layer 0 is W0 (3 x 2) then b0 (3): entries 0-8; layer 1 is W1, b1
+        [(8, 0), (9, 1), (11, 1), (12, 1)],
+        ids=["last_of_layer_0", "first_of_layer_1", "layer_1_weights", "layer_1_bias"],
+    )
+    def test_non_finite_named_by_layer(self, tmp_path, index, layer):
+        path = str(tmp_path / "c.bin")
+        theta = np.zeros(13)
+        theta[index] = np.inf
+        model = GeneratorModel((2, 3, 1), theta)
+        write_checkpoint(path, model.weights, model.biases)
+        with pytest.raises(NonFiniteDataError, match=f"layer {layer} has non-finite"):
+            read_checkpoint(path)
+
+    def test_read_rejects_bad_sizes(self, tmp_path):
+        path = str(tmp_path / "c.bin")
+        model = GeneratorModel.init((2, 3, 1), seed=0)
+        write_checkpoint(path, model.weights, model.biases)
+        with open(path, "rb") as handle:
+            payload = handle.read()
+        atomic_write_bytes(path, payload[:-1])
+        with pytest.raises(TruncatedFileError, match="layer 1 biases: expected 128 bytes"):
+            read_checkpoint(path)
+        atomic_write_bytes(path, payload[:-9])
+        with pytest.raises(TruncatedFileError, match="layer 1 weights: expected 120 bytes"):
+            read_checkpoint(path)
+        atomic_write_bytes(path, payload + b"\0")
+        with pytest.raises(DataError, match="1 unexpected trailing bytes"):
+            read_checkpoint(path)
+        atomic_write_bytes(path, payload[:8] + struct.pack("<I", 0) + payload[12:])
+        with pytest.raises(DataError, match="layer 0 has zero dimension"):
+            read_checkpoint(path)
 
     def test_write_rejects_unchained_dims(self, tmp_path):
         weights = [np.ones((4, 2)), np.ones((3, 5))]
@@ -414,4 +475,13 @@ class TestMetricsLog:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("phase,step,lr,loss,fd_a\ntrain,1,0\n")
         with pytest.raises(DataError, match="malformed"):
+            read_metrics_log(path)
+
+    @pytest.mark.parametrize("cell", ["abc", "", "1.5x"])
+    def test_read_names_line_of_non_numeric_cell(self, tmp_path, cell):
+        path = str(tmp_path / "log.csv")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("phase,step,lr,loss,fd_a\ntrain,0,0.1,0.5,1.0\n")
+            handle.write(f"train,1,0.1,{cell},1.0\n")
+        with pytest.raises(DataError, match=f"{path}: line 3: malformed"):
             read_metrics_log(path)

@@ -52,15 +52,12 @@ def identity_ensemble(dim=2):
 
 class TestGeneratorModel:
     def test_zero_parameters_zero_output(self):
-        model = GeneratorModel(
-            weights=(np.zeros((3, 2)), np.zeros((2, 3))),
-            biases=(np.zeros(3), np.zeros(2)),
-        )
+        model = GeneratorModel((2, 3, 2), np.zeros(17))
         out = generate(model, SplitMix64(1).normal_matrix(4, 2))
         assert np.array_equal(out, np.zeros((4, 2)))
 
     def test_single_linear_identity_layer(self):
-        model = GeneratorModel(weights=(np.eye(3),), biases=(np.zeros(3),))
+        model = GeneratorModel((3, 3), np.r_[np.eye(3).ravel(), np.zeros(3)])
         z = SplitMix64(2).normal_matrix(5, 3)
         assert np.array_equal(generate(model, z), z)
 
@@ -96,15 +93,15 @@ class TestGeneratorModel:
             generate(model, np.zeros((2, 2)))
 
     def test_layers_view_one_vector(self):
-        w0, b0 = np.arange(6.0).reshape(2, 3), np.array([6.0, 7.0])
-        w1, b1 = np.array([[8.0, 9.0]]), np.array([10.0])
-        model = GeneratorModel(weights=(w0, w1), biases=(b0, b1))
-        assert model.theta.tolist() == [float(i) for i in range(11)]
-        assert model.layer_dims == (3, 2, 1)
+        theta = np.arange(11.0)
+        model = GeneratorModel((3, 2, 1), theta)
+        assert model.theta is theta
+        assert model.weights[0].tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        assert model.biases[0].tolist() == [6.0, 7.0]
+        assert model.weights[1].tolist() == [[8.0, 9.0]]
+        assert model.biases[1].tolist() == [10.0]
         for view in (*model.weights, *model.biases):
             assert np.shares_memory(view, model.theta)
-        # the checked constructor copies, so the caller's arrays stay apart
-        assert not np.shares_memory(model.theta, w0)
 
     def test_layer_dims(self):
         model = GeneratorModel.init([8, 64, 64, 2], seed=0)
@@ -122,7 +119,7 @@ class TestGeneratorBackprop:
         assert np.allclose(grads, 0.0)
 
     def test_linear_layer_outer_product(self):
-        model = GeneratorModel(weights=(np.zeros((2, 3)),), biases=(np.zeros(2),))
+        model = GeneratorModel((3, 2), np.zeros(8))
         z = np.array([[1.0, 2.0, 3.0]])
         g = np.array([[4.0, 5.0]])
         grads = generator_backprop(model, _forward(model, z, _buffers(model, len(z))), g)
@@ -136,7 +133,7 @@ class TestGeneratorBackprop:
         analytic = generator_backprop(model, _forward(model, z, _buffers(model, len(z))), probe)
 
         def loss_of(flat):
-            out = generate(GeneratorModel.unchecked(model.layer_dims, flat), z)
+            out = generate(GeneratorModel(model.layer_dims, flat), z)
             return float(np.sum(out * probe))
 
         finite = central_difference(loss_of, model.theta, step=1e-5)
@@ -353,7 +350,7 @@ def reference_post_train(config):
             opt, model.theta, generator_backprop(model, _forward(model, z, _buffers(model, len(z))), sample_grads),
             lr, config.beta1, config.beta2, config.weight_decay,
         )
-        model = GeneratorModel.unchecked(model.layer_dims, theta)
+        model = GeneratorModel(model.layer_dims, theta)
         for spec, state, stats in zip(specs, states, estimates):
             state.commit(featurize(spec, x), stats)
         out.append(record("train", step, lr, fds))
@@ -451,7 +448,7 @@ class TestPostTrain:
             estimator="ema",
             ema_beta=0.99,
         )
-        matched = GeneratorModel(weights=(np.eye(2),), biases=(np.zeros(2),))
+        matched = GeneratorModel((2, 2), np.r_[np.eye(2).ravel(), np.zeros(2)])
         _, log = post_train(cfg, initial_model=matched)
         warm, final = log.records[0], log.records[-1]
         assert final.fds[0] <= 2.0 * warm.fds[0]
@@ -482,7 +479,7 @@ class TestPostTrain:
         denoms = base_fds + cfg.ensemble.c
 
         def loss_of(flat):
-            probe = GeneratorModel.unchecked(model.layer_dims, flat)
+            probe = GeneratorModel(model.layer_dims, flat)
             fds, _ = frozen_chain(cfg, probe, refs, states, z)
             return float(np.sum(np.array(cfg.ensemble.weights) * fds / denoms))
 
@@ -589,9 +586,7 @@ class TestPretrainRegression:
         source = TargetSpec(
             means=[[0.0]], covs=[np.eye(1)], weights=[1.0], sample_seed=2
         )
-        model = GeneratorModel(
-            weights=(np.array([[0.2]]),), biases=(np.array([0.0]),)
-        )
+        model = GeneratorModel((1, 1), np.array([0.2, 0.0]))
         trained = pretrain_regression(
             model, source, steps=2000, batch_size=256, lr=5e-3,
             pair_count=2048, seed=3,
@@ -607,9 +602,7 @@ class TestPretrainRegression:
         source = TargetSpec(
             means=[[0.0]], covs=[np.eye(1)], weights=[1.0], sample_seed=2
         )
-        model = GeneratorModel(
-            weights=(np.array([[0.2]]),), biases=(np.array([0.0]),)
-        )
+        model = GeneratorModel((1, 1), np.array([0.2, 0.0]))
         pair_count = 2048
         stream = SplitMix64(derive_seed("pretrain", 3))
         zs = stream.normal_matrix(pair_count, 1)
