@@ -477,11 +477,13 @@ class TestMetricsLog:
         with pytest.raises(DataError, match="malformed"):
             read_metrics_log(path)
 
-    @pytest.mark.parametrize("cell", ["abc", "", "1.5x"])
-    def test_read_names_line_of_non_numeric_cell(self, tmp_path, cell):
+    @pytest.mark.parametrize(
+        "lead, cell, line", [("", "abc", 3), ("", "", 3), ("", "1.5x", 3), ("\n\n", "abc", 5)]
+    )
+    def test_read_names_line_of_non_numeric_cell(self, tmp_path, lead, cell, line):
         path = str(tmp_path / "log.csv")
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write("phase,step,lr,loss,fd_a\ntrain,0,0.1,0.5,1.0\n")
+            handle.write(f"{lead}phase,step,lr,loss,fd_a\ntrain,0,0.1,0.5,1.0\n")
             handle.write(f"train,1,0.1,{cell},1.0\n")
-        with pytest.raises(DataError, match=f"{path}: line 3: malformed"):
+        with pytest.raises(DataError, match=f"{path}: line {line}: malformed"):
             read_metrics_log(path)
