@@ -33,6 +33,7 @@ from .errors import (
 )
 from .formats import (
     FEATURES_MAGIC,
+    FEATURES_MAX_ROWS,
     STATS_MAGIC,
     format_sig9,
     read_checkpoint,
@@ -168,8 +169,8 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
+    if not 1 <= args.n <= FEATURES_MAX_ROWS:
+        raise UsageError(f"--n must lie in [1, {FEATURES_MAX_ROWS}], got {args.n}")
     model = GeneratorModel(*read_checkpoint(args.ckpt))
     stream = SplitMix64(derive_seed("sample-noise", args.seed))
     # each block's noise is drawn just before its forward and written after it

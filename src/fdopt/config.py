@@ -216,12 +216,22 @@ def _build_ensemble(section: dict, in_dim: int) -> RepresentationEnsemble:
 
 
 def _build_target(section: dict, name: str) -> TargetSpec:
+    """The section's TargetSpec; an error of the spec names the section."""
+    fields = _target_fields(section, name)
+    try:
+        return TargetSpec(**fields)
+    except DataError as exc:
+        raise ConfigError(f"[{name}] {exc}") from None
+
+
+def _target_fields(section: dict, name: str) -> dict:
+    """TargetSpec's fields, parsed from the section's keys."""
     kind = section.get("kind", "mixture")
     seed_field = _fields(section, _TARGET, f"{name}.")
     if kind == "file":
         if "path" not in section:
             raise ConfigError(f"missing required key {name}.path")
-        return TargetSpec(path=section["path"], **seed_field)
+        return dict(path=section["path"], **seed_field)
     if kind != "mixture":
         raise ConfigError(f"{name}.kind must be mixture or file, got {kind!r}")
     means, covs, weights = [], [], []
@@ -241,7 +251,7 @@ def _build_target(section: dict, name: str) -> TargetSpec:
         means.append(mean)
         covs.append(np.array(cov).reshape(d, d))
         weights.append(_float(comp["weight"], where + "weight"))
-    return TargetSpec(
+    return dict(
         means=np.array(means),
         covs=np.array(covs),
         weights=np.array(weights),

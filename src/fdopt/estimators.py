@@ -47,10 +47,14 @@ The caller owns a state, and its commit updates it in place.
 Inputs are checked where they enter: at the state constructors and the
 trainer's config. estimate, backprop_estimate and commit are the training
 loop's kernels; they take a finite B x d batch of the state's dimension
-and check nothing again.
+and check nothing again. So estimate returns a plain Estimate(mu, sigma),
+not a GaussianStats, which always holds checked statistics; fd,
+fd_with_grad and commit read either one.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +71,7 @@ from .frechet import (
 __all__ = [
     "QueueState",
     "EmaState",
+    "Estimate",
     "estimate",
     "backprop_estimate",
 ]
@@ -98,12 +103,11 @@ class QueueState:
     def capacity(self) -> int:
         return self.buffer.shape[0]
 
-    def history(self, b: int) -> tuple[float, float]:
-        """(history fraction, row count) of the merge with b batch rows."""
-        n = self.capacity
-        return n / (n + b), float(n + b)
+    def history(self, b: int) -> float:
+        """History fraction N / (N + B) of the merge with b batch rows."""
+        return self.capacity / (self.capacity + b)
 
-    def commit(self, batch: np.ndarray, stats: GaussianStats) -> None:
+    def commit(self, batch: np.ndarray, stats: Estimate) -> None:
         """Overwrite the B oldest rows with the batch (stats is not needed).
         The sums lose the evicted rows and gain the pushed ones, or are
         rebuilt once a capacity's worth of rows has been pushed since the
@@ -136,11 +140,11 @@ class EmaState:
         self.beta = float(beta)
         self.mu, self.sigma = stats.mu, stats.sigma
 
-    def history(self, b: int) -> tuple[float, float]:
-        """(history fraction, effective mass 1/(1-beta) in batches)."""
-        return self.beta, 1.0 / (1.0 - self.beta)
+    def history(self, b: int) -> float:
+        """History fraction beta, whatever the batch size."""
+        return self.beta
 
-    def commit(self, batch: np.ndarray, stats: GaussianStats) -> None:
+    def commit(self, batch: np.ndarray, stats: Estimate) -> None:
         """Keep the step's merged statistics as the summary (the batch is
         already in them)."""
         self.mu, self.sigma = stats.mu, stats.sigma
@@ -167,18 +171,26 @@ def _summarize(q: QueueState) -> None:
 # kernels: one pass per featurized batch, on inputs the caller has checked
 
 
-def estimate(state, batch: np.ndarray) -> GaussianStats:
+class Estimate(NamedTuple):
+    """One step's mean and covariance entering the distance, float64 and
+    exactly symmetric; finite when the batch and its squares are."""
+
+    mu: np.ndarray
+    sigma: np.ndarray
+
+
+def estimate(state, batch: np.ndarray) -> Estimate:
     """Statistics entering the distance: the state's history summary merged
     with the moments of a finite B x d batch (see the module docstring)."""
     b = batch.shape[0]
-    a, weight = state.history(b)
+    a = state.history(b)
     _, mu_b, sigma = block_scatter(batch)
     # divided by B as Moments.stats does, so that a = 0 gives the batch's
     # own statistics bit for bit
     sigma /= b
     sigma *= 1.0 - a
     mu, sigma = merge_moments(mu_b, sigma, state.mu, a * state.sigma, a, a * (1.0 - a))
-    return GaussianStats.unchecked(mu, 0.5 * (sigma + sigma.T), weight)
+    return Estimate(mu, 0.5 * (sigma + sigma.T))
 
 
 def backprop_estimate(
@@ -190,5 +202,5 @@ def backprop_estimate(
         grad(x_i) = ((1 - a) / B) (d_mu + 2 d_sigma (x_i - mu)).
     """
     b = batch.shape[0]
-    scale = (1.0 - state.history(b)[0]) / b
+    scale = (1.0 - state.history(b)) / b
     return scale * (d_mu + 2.0 * (batch - mu) @ d_sigma)

@@ -34,6 +34,7 @@ from .errors import (
 from .frechet import BLOCK_ROWS, GaussianStats, check_rows, row_blocks
 
 FEATURES_MAGIC = b"FDF1"
+FEATURES_MAX_ROWS = 2**32 - 1  # the header's u32 row count
 STATS_MAGIC = b"FDS1"
 CHECKPOINT_MAGIC = b"FDC1"
 
@@ -150,7 +151,8 @@ def read_feature_blocks(paths):
     boundaries. Every header and file size is checked here, before any
     payload is read; a non-finite row is named by its index in the split.
     Each file is opened once, so a file replaced after its header was
-    checked is still read whole; the handles close with the split."""
+    checked is still read whole, and one truncated in place raises
+    TruncatedFileError; the handles close with the split."""
     blocks = _split_blocks(paths)
     next(blocks)  # the headers are checked
     return blocks
@@ -169,19 +171,26 @@ def _split_blocks(paths):
                 raise DataError(f"{path}: header declares empty matrix {n} x {d}")
             reader.skip(4 * n * d, f"{n}x{d} feature payload")
             reader.expect_end()
-            headers.append((handle, n, d))
-        dims = sorted({d for _, _, d in headers})
+            headers.append((path, handle, n, d))
+        dims = sorted({d for _, _, _, d in headers})
         if len(dims) > 1:
             raise DataError(f"feature files disagree on dimension: {dims}")
         yield
 
-        name, total = ", ".join(paths), sum(n for _, n, _ in headers)
+        name, total = ", ".join(paths), sum(n for _, _, n, _ in headers)
         pieces, count, first = [], 0, 0
-        for handle, n, d in headers:
+        for path, handle, n, d in headers:
+            expected = 12 + 4 * n * d
             while n:
                 take = min(BLOCK_ROWS - count, n)
-                chunk = np.frombuffer(handle.read(4 * take * d), dtype="<f4")
-                pieces.append(chunk.reshape(take, d))
+                chunk = handle.read(4 * take * d)
+                if len(chunk) < 4 * take * d:
+                    # the file shrank after its header and size were checked
+                    raise TruncatedFileError(
+                        f"{path}: truncated while reading its feature payload: "
+                        f"expected {expected} bytes, file has {handle.tell()}"
+                    )
+                pieces.append(np.frombuffer(chunk, dtype="<f4").reshape(take, d))
                 count, n = count + take, n - take
                 if count == BLOCK_ROWS or first + count == total:
                     block = np.concatenate(pieces, dtype=np.float64)

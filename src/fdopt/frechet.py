@@ -46,11 +46,10 @@ log = logging.getLogger("fdopt.frechet")
 
 @dataclass(frozen=True, eq=False)
 class GaussianStats:
-    """First and second moments of a feature population.
+    """First and second moments of a feature population, checked.
 
-    weight is the effective sample count (rows for empirical stats, EMA mass
-    for blended stats); it is bookkeeping only and does not enter the
-    distance.
+    weight is the population's row count; it is bookkeeping only and does
+    not enter the distance.
     """
 
     mu: np.ndarray
@@ -73,16 +72,6 @@ class GaussianStats:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "weight", float(self.weight))
-
-    @classmethod
-    def unchecked(cls, mu: np.ndarray, sigma: np.ndarray, weight: float):
-        """Wrap float64 moments the caller built finite and exactly symmetric,
-        without checking them again."""
-        stats = object.__new__(cls)
-        object.__setattr__(stats, "mu", mu)
-        object.__setattr__(stats, "sigma", sigma)
-        object.__setattr__(stats, "weight", weight)
-        return stats
 
     @property
     def dim(self) -> int:
@@ -204,14 +193,17 @@ def merge_moments(mu_a, s_a, mu_b, s_b, frac_b: float, cross: float):
 
 
 def fd(ref: ReferenceStats, gen: GaussianStats) -> float:
-    """Frechet distance; tiny clamp-induced negatives are floored to zero."""
+    """Frechet distance; tiny clamp-induced negatives are floored to zero.
+    gen is a GaussianStats or a training step's estimators.Estimate."""
     return _value(ref, gen)[0]
 
 
 def _value(ref: ReferenceStats, gen: GaussianStats):
     """fd value plus the eigenpairs of R sigma_g R, which the gradient reuses."""
-    if ref.dim != gen.dim:
-        raise DataError(f"dimension mismatch: ref dim {ref.dim} vs gen dim {gen.dim}")
+    if ref.dim != gen.mu.size:
+        raise DataError(
+            f"dimension mismatch: ref dim {ref.dim} vs gen dim {gen.mu.size}"
+        )
     w, v = congruence_eig(ref.sigma_root, gen.sigma)
     mean_term = float(np.sum((ref.stats.mu - gen.mu) ** 2))
     trace_ref = ref.trace

@@ -56,23 +56,12 @@ class FdrRow:
     fd_gen: float
     fd_val: float
     ratio: float
-    train_size: float
 
 
 @dataclass(frozen=True)
 class FdrReport:
     rows: tuple[FdrRow, ...]
     fdr_k: float
-    n_val: int
-    n_gen: int
-
-    @property
-    def k(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ratios(self) -> tuple[float, ...]:
-        return tuple(row.ratio for row in self.rows)
 
 
 def rep_labels(ensemble: RepresentationEnsemble) -> tuple[str, ...]:
@@ -121,18 +110,5 @@ def build_report(
                 f"{name}: validation split is indistinguishable from the "
                 f"reference (FD = {fd_val:.3e} <= {tol:.3e}); ratio undefined"
             )
-        rows.append(
-            FdrRow(
-                name=name,
-                fd_gen=fd_gen,
-                fd_val=fd_val,
-                ratio=fd_ratio(fd_gen, fd_val),
-                train_size=ref.stats.weight,
-            )
-        )
-    return FdrReport(
-        rows=tuple(rows),
-        fdr_k=fdr_k([row.ratio for row in rows]),
-        n_val=int(val_stats[0].weight),
-        n_gen=int(gen_stats[0].weight),
-    )
+        rows.append(FdrRow(name, fd_gen, fd_val, fd_ratio(fd_gen, fd_val)))
+    return FdrReport(rows=tuple(rows), fdr_k=fdr_k([row.ratio for row in rows]))

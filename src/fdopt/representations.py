@@ -64,13 +64,13 @@ class RepresentationSpec:
             raise DataError(f"scale must be > 0, got {self.scale}")
         if self.kind == "identity" and self.in_dim != self.out_dim:
             raise DataError(
-                f"identity requires in_dim = out_dim, got {self.in_dim} "
-                f"vs {self.out_dim}"
+                f"out_dim must equal in_dim {self.in_dim} for identity, got "
+                f"{self.out_dim}"
             )
         if self.kind == "quadratic" and self.out_dim != quadratic_out_dim(self.in_dim):
             raise DataError(
-                f"quadratic with in_dim {self.in_dim} requires out_dim "
-                f"{quadratic_out_dim(self.in_dim)}, got {self.out_dim}"
+                f"out_dim must be {quadratic_out_dim(self.in_dim)} for quadratic "
+                f"with in_dim {self.in_dim}, got {self.out_dim}"
             )
 
 
@@ -163,7 +163,8 @@ class RepresentationEnsemble:
         weights = tuple(float(w) for w in self.weights) or (1.0,) * len(specs)
         if len(weights) != len(specs):
             raise DataError(
-                f"{len(weights)} weights for {len(specs)} representations"
+                f"weights must number {len(specs)}, one per representation, "
+                f"got {len(weights)}"
             )
         if any(not (w > 0.0) for w in weights):
             raise DataError("weights must be > 0")

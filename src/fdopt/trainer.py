@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NonFiniteDataError, NonFiniteLossError
 from .estimators import EmaState, QueueState, backprop_estimate, estimate
-from .formats import read_features
+from .formats import read_feature_blocks, read_features
 from .frechet import (
     BLOCK_ROWS,
     ReferenceStats,
@@ -61,7 +61,6 @@ __all__ = [
     "optimizer_step",
     "lr_at",
     "sample_target",
-    "target_reference_rows",
     "post_train",
     "pretrain_regression",
 ]
@@ -349,17 +348,6 @@ def sample_target(target: TargetSpec, count: int, purpose: str) -> np.ndarray:
     return out
 
 
-def target_reference_rows(target: TargetSpec, count: int) -> np.ndarray:
-    """Rows defining the reference population.
-
-    A file target IS its population, so all rows are used as-is; a mixture
-    draws `count` rows from the dedicated reference stream.
-    """
-    if target.path is not None:
-        return read_features(target.path)
-    return sample_target(target, count, "reference")
-
-
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -438,7 +426,7 @@ class TrainConfig:
             )
         if self.target.dim is not None and self.target.dim != self.out_dim:
             raise ConfigError(
-                f"target dim {self.target.dim} does not match generator out_dim "
+                f"out_dim must equal the target dim {self.target.dim}, got "
                 f"{self.out_dim}"
             )
 
@@ -483,7 +471,13 @@ class MetricsLog:
 
 
 def _references(config: TrainConfig) -> list[ReferenceStats]:
-    rows = target_reference_rows(config.target, config.effective_warm_start)
+    """One reference per space: a file target is its population, streamed
+    as-is; a mixture draws effective_warm_start rows to stand for it."""
+    target = config.target
+    if target.path is not None:
+        rows = read_feature_blocks([target.path])
+    else:
+        rows = sample_target(target, config.effective_warm_start, "reference")
     stats = split_stats(config.ensemble.specs, rows, "target rows")
     return [make_reference(s) for s in stats]
 

@@ -437,7 +437,7 @@ def test_fdr_protocol(criterion):
                 assert 0.8 <= row.ratio <= 1.25, (tag, report.rows)
 
         same = build_report(ensemble, stats, val, val)
-        assert all(r == 1.0 for r in same.ratios)
+        assert all(r.ratio == 1.0 for r in same.rows)
         assert same.fdr_k == 1.0
 
         # common feature rescaling: identity features scale with the samples
@@ -446,11 +446,11 @@ def test_fdr_protocol(criterion):
         )
         base_ratio = build_report(
             identity_only, [stats_from_features(train)], val, gen
-        ).ratios[0]
+        ).rows[0].ratio
         for s in (0.02, 7.0, 250.0):
             scaled = build_report(
                 identity_only, [stats_from_features(train * s)], val * s, gen * s
-            ).ratios[0]
+            ).rows[0].ratio
             assert abs(scaled - base_ratio) <= 1e-8 * max(1.0, abs(base_ratio))
 
 

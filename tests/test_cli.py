@@ -127,6 +127,16 @@ class TestSample:
         write_features(want, generate(model, noise))
         assert Path(out).read_bytes() == Path(want).read_bytes()
 
+    def test_n_above_the_row_limit_is_exit_1(self, tmp_path, capsys):
+        # a features header holds the row count as a u32
+        model = GeneratorModel.init([3, 4, 2], seed=4)
+        ckpt, out = str(tmp_path / "g.ckpt"), str(tmp_path / "g.bin")
+        write_checkpoint(ckpt, model.weights, model.biases)
+        code = cli_dispatch(["sample", "--ckpt", ckpt, "--n", str(2**32), "--out", out])
+        assert code == 1
+        assert "--n must lie in [1, 4294967295], got 4294967296" in capsys.readouterr().err
+        assert not Path(out).exists()
+
 
 class TestFeatureSplits:
     def fdr(self, workspace, out, val, gen):

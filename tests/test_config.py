@@ -285,6 +285,35 @@ class TestBuild:
             ({"kind = queue": "kind = fifo"}, r"estimator\.kind must be queue or ema"),
             ({"capacity = 256": "capacity = 2"}, r"estimator\.capacity must be >= batch_size"),
             ({"warmup_steps = 5": "warmup_steps = 51"}, r"trainer\.warmup_steps must lie"),
+            # cross-field errors name the field the file sets
+            (
+                {"rep.0.kind = identity": "rep.0.kind = identity\nrep.0.out_dim = 3"},
+                r"ensemble\.rep\.0\.out_dim must equal in_dim 2 for identity, got 3",
+            ),
+            (
+                {
+                    "rep.1.kind = tanh_rf": "rep.1.kind = quadratic",
+                    "rep.1.out_dim = 6": "rep.1.out_dim = 4",
+                },
+                r"ensemble\.rep\.1\.out_dim must be 5 for quadratic",
+            ),
+            ({"weights = 1.0, 0.5": "weights = 1, 1, 1"}, r"ensemble\.weights must number 2"),
+            (
+                {"out_dim = 2": "out_dim = 3"},
+                r"trainer\.out_dim must equal the target dim 2, got 3",
+            ),
+            # a mixture's errors name its section
+            (
+                {"comp.0.weight = 1.0": "comp.0.weight = 0.9"},
+                r"\[source\] mixture weights must be >= 0 and sum to 1, got sum 0\.9",
+            ),
+            (
+                {
+                    "0.0, 0.0\ncomp.0.cov = 1.0, 0.0, 0.0, 1.0":
+                    "0.0, 0.0\ncomp.0.cov = 1, 2, 2, 1",
+                },
+                r"\[source\] component 0 covariance is not PSD",
+            ),
         ],
     )
     def test_out_of_range_values_name_their_field(self, edits, field):

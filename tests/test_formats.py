@@ -190,6 +190,17 @@ class TestFeatureBlocks:
         write_features(path, -original[:rows])
         assert np.array_equal(np.concatenate(list(blocks)), original)
 
+    def test_file_truncated_in_place_after_its_header(self, tmp_path):
+        path = str(tmp_path / "f.bin")
+        write_features(path, random_features(3, 10_000, 2))
+        blocks = read_feature_blocks([path])
+        os.truncate(path, 40_000)
+        # the first block is whole; the second read comes up short
+        with pytest.raises(
+            TruncatedFileError, match=r"f\.bin: .* expected 80012 bytes, file has 40000"
+        ):
+            list(blocks)
+
     def test_non_finite_block_mid_write_leaves_no_file(self, tmp_path):
         path = str(tmp_path / "f.bin")
         bad = np.ones((BLOCK_ROWS, 2))

@@ -290,14 +290,18 @@ def reference_post_train(config):
     """post_train assembled only from the public layer functions: every
     sample, feature and statistic is recomputed where the chain needs it."""
     from fdopt.estimators import backprop_estimate, estimate
+    from fdopt.formats import read_features
     from fdopt.frechet import fd_with_grad
     from fdopt.representations import featurize_backprop
     from fdopt.rng import derive_seed
-    from fdopt.trainer import target_reference_rows
 
     specs, queue = config.ensemble.specs, config.estimator == "queue"
     count = config.effective_warm_start
-    rows = target_reference_rows(config.target, count)
+    # a file target is its population; a mixture draws the reference rows
+    if config.target.path is not None:
+        rows = read_features(config.target.path)
+    else:
+        rows = sample_target(config.target, count, "reference")
     refs = [make_reference(stats_from_features(featurize(s, rows))) for s in specs]
     model = GeneratorModel.init(config.layer_dims, config.seed)
 
@@ -541,6 +545,24 @@ class TestPostTrain:
             "generator_backprop": steps,
             "optimizer_step": steps,
         }
+
+    def test_file_target_streams_its_reference(self, tmp_path, monkeypatch):
+        import fdopt.trainer as trainer_module
+        from fdopt.formats import write_features
+
+        path = str(tmp_path / "target.fdf")
+        write_features(path, sample_target(two_mode_target(), 1000, "file"))
+        cfg = self.small_config(target=TargetSpec(path=path), total_steps=2)
+        want_model, want_rows = reference_post_train(cfg)
+
+        def read_whole(path):
+            raise AssertionError(f"{path} was read whole")
+
+        # the reference statistics stream the file through its block reader
+        monkeypatch.setattr(trainer_module, "read_features", read_whole)
+        model, log = post_train(cfg)
+        assert log.rows() == want_rows
+        assert model.theta.tobytes() == want_model.theta.tobytes()
 
     def test_log_has_lr_and_loss_columns(self):
         cfg = self.small_config(total_steps=4, warmup_steps=2)
