@@ -4,15 +4,18 @@ Syntax: `[section]` headers, `key = value` lines, `#` starts a comment
 anywhere on a line. Sections: [trainer], [estimator], [ensemble],
 [target], and optionally [source] (a second population for regression
 pretraining). Representations are indexed entries (rep.0.kind, ...) inside
-[ensemble]; mixture components are indexed (comp.0.weight, comp.0.mean,
-comp.0.cov, ...) inside [target]/[source], with cov given row-major.
+[ensemble]. [target]/[source] is the population its `kind` names: a mixture
+(the default) of indexed components (comp.0.weight, comp.0.mean, comp.0.cov
+row-major, ...) or a features file (path), each kind with its own keys.
 
-Unknown sections or keys are rejected rather than defaulted, so a typo in
-beta/capacity/c cannot silently change a run. Each section has one table
-mapping its keys to (dataclass field, parser); every key the file sets is
-parsed and passed on, so an omitted key takes its field's default and each
-range check lives on the dataclass. Every value is a pure function of the
-file text; representation in_dim always equals the generator's out_dim.
+Unknown sections or keys, a key of the other kind included, are rejected
+rather than ignored, so a typo in beta/capacity/c cannot silently change a
+run. Each section has one table mapping its keys to (dataclass field,
+parser; a list's entries are each parsed like a scalar). Every key the file
+sets is parsed and passed on, so an omitted key takes its field's default
+and each range check lives on the dataclass. Every value is a pure function
+of the file text; representation in_dim always equals the generator's
+out_dim.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .representations import (
     RepresentationSpec,
     quadratic_out_dim,
 )
-from .trainer import TargetSpec, TrainConfig
+from .trainer import FileTarget, MixtureTarget, TrainConfig
 
 __all__ = ["LoadedConfig", "parse_config", "load_config", "build_config"]
 
@@ -52,21 +55,12 @@ def _str(raw: str, where: str) -> str:
     return raw
 
 
-def _float_list(raw: str, where: str) -> tuple[float, ...]:
-    if not raw.strip():
-        return ()
-    try:
-        return tuple(float(part) for part in raw.split(","))
-    except ValueError:
-        raise ConfigError(f"{where}: not a comma-separated number list: {raw!r}") from None
-
-
-def _int_list(raw: str, where: str) -> tuple[int, ...]:
-    values = _float_list(raw, where)
-    out = tuple(int(v) for v in values)
-    if any(o != v for o, v in zip(out, values)):
-        raise ConfigError(f"{where}: expected integers, got {raw!r}")
-    return out
+def _list(parse):
+    """A parser of comma-separated entries, each read by parse."""
+    def parse_list(raw: str, where: str) -> tuple:
+        parts = raw.split(",") if raw.strip() else []
+        return tuple(parse(part.strip(), where) for part in parts)
+    return parse_list
 
 
 # key -> (field of the dataclass the key sets, parser)
@@ -81,7 +75,7 @@ _TRAINER = {
     "weight_decay": ("weight_decay", _float),
     "warm_start_count": ("warm_start_count", _int),
     "z_dim": ("z_dim", _int),
-    "hidden": ("hidden", _int_list),
+    "hidden": ("hidden", _list(_int)),
     "out_dim": ("out_dim", _int),
 }
 _PRETRAIN = {"pretrain_steps": ("pretrain_steps", _int)}  # [trainer], LoadedConfig
@@ -90,21 +84,23 @@ _ESTIMATOR = {
     "beta": ("ema_beta", _float),
     "capacity": ("queue_capacity", _int),
 }
-_ENSEMBLE = {"c": ("c", _float), "weights": ("weights", _float_list)}
+_ENSEMBLE = {"c": ("c", _float), "weights": ("weights", _list(_float))}
 _REP = {
     "kind": ("kind", _str),
     "seed": ("seed", _int),
     "out_dim": ("out_dim", _int),
     "scale": ("scale", _float),
 }
-_TARGET = {"sample_seed": ("sample_seed", _int)}  # [target] and [source]
+# a [target] or [source] of each kind; a mixture also has comp.N.* keys
+_MIXTURE = {"sample_seed": ("sample_seed", _int)}
+_FILE = {"path": ("path", _str), "sample_seed": ("sample_seed", _int)}
 
 _SECTION_KEYS = {
     "trainer": {*_TRAINER, *_PRETRAIN},
     "estimator": set(_ESTIMATOR),
     "ensemble": set(_ENSEMBLE),
-    "target": {"kind", "path", *_TARGET},
-    "source": {"kind", "path", *_TARGET},
+    "target": {"kind", *_MIXTURE, *_FILE},
+    "source": {"kind", *_MIXTURE, *_FILE},
 }
 _REP_KEY = re.compile(rf"^rep\.(\d+)\.({'|'.join(_REP)})$")
 _COMP_KEY = re.compile(r"^comp\.(\d+)\.(weight|mean|cov)$")
@@ -215,34 +211,34 @@ def _build_ensemble(section: dict, in_dim: int) -> RepresentationEnsemble:
     return _construct(RepresentationEnsemble, keys, specs=tuple(specs), **ensemble)
 
 
-def _build_target(section: dict, name: str) -> TargetSpec:
-    """The section's TargetSpec; an error of the spec names the section."""
-    fields = _target_fields(section, name)
-    try:
-        return TargetSpec(**fields)
-    except DataError as exc:
-        raise ConfigError(f"[{name}] {exc}") from None
-
-
-def _target_fields(section: dict, name: str) -> dict:
-    """TargetSpec's fields, parsed from the section's keys."""
+def _build_target(section: dict, name: str) -> MixtureTarget | FileTarget:
+    """The section's population, of the kind its `kind` key names. A key of
+    the other kind is rejected; a mixture's errors name the section."""
     kind = section.get("kind", "mixture")
-    seed_field = _fields(section, _TARGET, f"{name}.")
-    if kind == "file":
-        if "path" not in section:
-            raise ConfigError(f"missing required key {name}.path")
-        return dict(path=section["path"], **seed_field)
-    if kind != "mixture":
+    if kind not in ("mixture", "file"):
         raise ConfigError(f"{name}.kind must be mixture or file, got {kind!r}")
+    table = _FILE if kind == "file" else _MIXTURE
+    for key in section:
+        if key not in table and key != "kind" and not (
+            kind == "mixture" and _COMP_KEY.match(key)
+        ):
+            raise ConfigError(f"{name}.{key} is not a key of a {kind} [{name}]")
+    fields = _fields(section, table, f"{name}.")
+    if kind == "file":
+        if "path" not in fields:
+            raise ConfigError(f"missing required key {name}.path")
+        return FileTarget(**fields)
     means, covs, weights = [], [], []
     for i, comp in enumerate(_indexed(section, _COMP_KEY, f"{name} comp.N.*")):
         where = f"{name}.comp.{i}."
         for field in ("weight", "mean", "cov"):
             if field not in comp:
                 raise ConfigError(f"missing required key {where}{field}")
-        mean = _float_list(comp["mean"], where + "mean")
-        cov = _float_list(comp["cov"], where + "cov")
+        mean = _list(_float)(comp["mean"], where + "mean")
+        cov = _list(_float)(comp["cov"], where + "cov")
         d = len(mean)
+        if means and d != len(means[0]):
+            raise ConfigError(f"{where}mean has {d} entries, unlike comp.0.mean")
         if len(cov) != d * d:
             raise ConfigError(
                 f"{where}cov needs {d * d} row-major entries for a {d}-dim "
@@ -251,19 +247,17 @@ def _target_fields(section: dict, name: str) -> dict:
         means.append(mean)
         covs.append(np.array(cov).reshape(d, d))
         weights.append(_float(comp["weight"], where + "weight"))
-    return dict(
-        means=np.array(means),
-        covs=np.array(covs),
-        weights=np.array(weights),
-        **seed_field,
-    )
+    try:
+        return MixtureTarget(np.array(means), np.array(covs), np.array(weights), **fields)
+    except DataError as exc:
+        raise ConfigError(f"[{name}] {exc}") from None
 
 
 @dataclass(frozen=True)
 class LoadedConfig:
     ensemble: RepresentationEnsemble
     train: TrainConfig | None
-    source: TargetSpec | None
+    source: MixtureTarget | FileTarget | None
     pretrain_steps: int = 1000
 
 

@@ -3,7 +3,7 @@
 Everything here is pure-function and double precision. The eigensolver is
 LAPACK's symmetric driver (``np.linalg.eigh``), so a run is
 byte-reproducible on a given machine and BLAS build. A matrix is checked
-once where it enters (check_symmetric, in GaussianStats and TargetSpec) or
+once where it enters (check_symmetric, in GaussianStats and MixtureTarget) or
 built exactly symmetric (a training step's estimators.Estimate), and not
 again here. Callers use eigenvectors only through V f(w) V^T, which does
 not depend on their signs.

@@ -51,7 +51,8 @@ ADAM_EPS = 1e-8
 __all__ = [
     "GeneratorModel",
     "OptState",
-    "TargetSpec",
+    "MixtureTarget",
+    "FileTarget",
     "TrainConfig",
     "TrainRecord",
     "MetricsLog",
@@ -263,29 +264,23 @@ def lr_at(step: int, config: "TrainConfig") -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class TargetSpec:
-    """Either a Gaussian mixture (means/covs/weights + sample seed) or a
-    sample file; the population the trainer matches or pretrains toward."""
+class MixtureTarget:
+    """A Gaussian mixture population: k x d means, k x d x d covariances, k
+    weights and the seed of its sample streams. One eigendecomposition per
+    component gives both its PSD check and its sampling root."""
 
-    means: np.ndarray | None = None
-    covs: np.ndarray | None = None
-    weights: np.ndarray | None = None
+    means: np.ndarray
+    covs: np.ndarray
+    weights: np.ndarray
     sample_seed: int = 0
-    path: str | None = None
 
     def __post_init__(self):
-        has_mixture = self.means is not None
-        if has_mixture == (self.path is not None):
-            raise DataError("target needs exactly one of a mixture or a file path")
-        if not has_mixture:
-            return
-        means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
-        weights = np.asarray(self.weights, dtype=np.float64).ravel()
-        covs = np.asarray(self.covs, dtype=np.float64)
-        if covs.ndim == 2:
-            covs = covs[None, :, :]
-        k, n = means.shape
-        if covs.shape != (k, n, n) or weights.shape != (k,):
+        # copies: the checked covariances are written back, symmetrized
+        means = np.array(self.means, dtype=np.float64)
+        weights = np.array(self.weights, dtype=np.float64)
+        covs = np.array(self.covs, dtype=np.float64)
+        k, d = means.shape if means.ndim == 2 else (0, 0)
+        if covs.shape != (k, d, d) or weights.shape != (k,):
             raise DataError(
                 f"mixture shapes disagree: means {means.shape}, covs "
                 f"{covs.shape}, weights {weights.shape}"
@@ -312,15 +307,26 @@ class TargetSpec:
         object.__setattr__(self, "_roots", tuple(roots))
 
     @property
-    def dim(self) -> int | None:
-        return None if self.means is None else self.means.shape[1]
+    def dim(self) -> int:
+        return self.means.shape[1]
 
 
-def sample_target(target: TargetSpec, count: int, purpose: str) -> np.ndarray:
+@dataclass(frozen=True)
+class FileTarget:
+    """A features file that is the population itself, and the seed of the
+    stream that resamples it. The file is checked where it is read."""
+
+    path: str
+    sample_seed: int = 0
+
+
+def sample_target(
+    target: MixtureTarget | FileTarget, count: int, purpose: str
+) -> np.ndarray:
     """Draw `count` rows from the target, deterministic per (target, purpose).
 
-    File targets are resampled with replacement, so the whole file is read;
-    mixture targets draw component indices from the weights, then Gaussian
+    A FileTarget is resampled with replacement, so the whole file is read;
+    a MixtureTarget draws component indices from the weights, then Gaussian
     offsets. Both draw their uniforms and normals BLOCK_ROWS rows at a time,
     from the counter windows of one whole draw, into the one output.
     """
@@ -328,7 +334,7 @@ def sample_target(target: TargetSpec, count: int, purpose: str) -> np.ndarray:
         raise DataError(f"sample count must be >= 1, got {count}")
     stream = SplitMix64(derive_seed("target-samples", purpose, target.sample_seed))
     uniforms = stream.uniform_blocks(count, BLOCK_ROWS)
-    if target.path is not None:
+    if isinstance(target, FileTarget):
         rows = read_features(target.path)
         out = np.empty((count, rows.shape[1]))
         for block, u in zip(row_blocks(out), uniforms):
@@ -365,7 +371,7 @@ class TrainConfig:
     """
 
     ensemble: RepresentationEnsemble
-    target: TargetSpec
+    target: MixtureTarget | FileTarget
     seed: int = 0
     batch_size: int = 128
     total_steps: int = 3000
@@ -424,7 +430,7 @@ class TrainConfig:
                 f"representations expect in_dim {self.ensemble.in_dim} but the "
                 f"generator produces {self.out_dim}"
             )
-        if self.target.dim is not None and self.target.dim != self.out_dim:
+        if isinstance(self.target, MixtureTarget) and self.target.dim != self.out_dim:
             raise ConfigError(
                 f"out_dim must equal the target dim {self.target.dim}, got "
                 f"{self.out_dim}"
@@ -474,7 +480,7 @@ def _references(config: TrainConfig) -> list[ReferenceStats]:
     """One reference per space: a file target is its population, streamed
     as-is; a mixture draws effective_warm_start rows to stand for it."""
     target = config.target
-    if target.path is not None:
+    if isinstance(target, FileTarget):
         rows = read_feature_blocks([target.path])
     else:
         rows = sample_target(target, config.effective_warm_start, "reference")
@@ -611,7 +617,7 @@ def _transport_order(rows: np.ndarray) -> np.ndarray:
 
 def pretrain_regression(
     model: GeneratorModel,
-    source: TargetSpec,
+    source: MixtureTarget | FileTarget,
     steps: int,
     batch_size: int = 128,
     lr: float = 1e-3,

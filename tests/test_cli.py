@@ -27,7 +27,13 @@ from fdopt.frechet import BLOCK_ROWS, fd, make_reference
 from fdopt.metrics import build_report
 from fdopt.representations import featurize
 from fdopt.rng import SplitMix64, derive_seed
-from fdopt.trainer import GeneratorModel, generate, sample_target
+from fdopt.trainer import (
+    FileTarget,
+    GeneratorModel,
+    generate,
+    pretrain_regression,
+    sample_target,
+)
 from oracles import parse_report_csv, stats_from_features
 
 CONFIG_TEXT = textwrap.dedent(
@@ -270,6 +276,32 @@ class TestDataErrors:
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            (
+                "comp.1.mean = 2.5, 1.0\ncomp.1.cov = 0.4, 0.1, 0.1, 0.3",
+                "comp.1.mean = 2.5, 1.0, 0\ncomp.1.cov = 1, 0, 0, 0, 1, 0, 0, 0, 1",
+                "target.comp.1.mean",
+            ),
+            # a key of the other population kind
+            ("[target]\n", "[target]\npath = nowhere.bin\n", "target.path"),
+            ("[source]\n", "[source]\nkind = file\npath = s.bin\n", "source.comp.0.weight"),
+            ("hidden = 16, 16", "hidden = nan", "trainer.hidden"),
+            ("hidden = 16, 16", "hidden = inf", "trainer.hidden"),
+            ("hidden = 16, 16", "hidden = 1e400", "trainer.hidden"),
+        ],
+        ids=["mean_lengths", "mixture_path", "file_comp", "nan", "inf", "1e400"],
+    )
+    def test_malformed_config_is_exit_2_naming_its_key(
+        self, workspace, capsys, old, new, key
+    ):
+        bad = workspace / "bad.cfg"
+        bad.write_text(CONFIG_TEXT.replace(old, new, 1), encoding="utf-8")
+        argv = ["train", "--config", str(bad), "--out", path(workspace, "m.ckpt")]
+        assert cli_dispatch(argv) == 2
+        assert f"error: {key}" in capsys.readouterr().err
+
     def test_config_not_utf8_is_exit_2(self, workspace, capsys):
         bad = workspace / "bad.cfg"
         bad.write_bytes(b"\xff\xfe[trainer]\n")
@@ -294,6 +326,30 @@ class TestDataErrors:
         )
         assert code == 2
         assert "[source]" in capsys.readouterr().err
+
+
+class TestPretrain:
+    def test_file_source_resamples_the_file(self, workspace):
+        # the one command that draws from a features file: pretrain's pairs
+        rows = path(workspace, "train.bin")
+        text = CONFIG_TEXT.split("[source]")[0] + (
+            f"[source]\nkind = file\npath = {rows}\nsample_seed = 9\n"
+        )
+        cfg = workspace / "file_source.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        out = path(workspace, "pre.ckpt")
+        assert cli_dispatch(["pretrain", "--config", str(cfg), "--out", out]) == 0
+        # CONFIG_TEXT's generator (4, 16, 16, 2), seed 0, 20 steps of batch 32
+        model = pretrain_regression(
+            GeneratorModel.init((4, 16, 16, 2), 0),
+            FileTarget(rows, sample_seed=9),
+            steps=20,
+            batch_size=32,
+            seed=0,
+        )
+        want = path(workspace, "want.ckpt")
+        write_checkpoint(want, model.weights, model.biases)
+        assert Path(out).read_bytes() == Path(want).read_bytes()
 
 
 class TestComputeStatsAndFd:

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from fdopt.config import (
+    _FILE,
+    _MIXTURE,
     _SECTION_KEYS,
     LoadedConfig,
     build_config,
@@ -16,7 +18,7 @@ from fdopt.config import (
 )
 from fdopt.errors import ConfigError
 from fdopt.representations import RepresentationEnsemble, RepresentationSpec
-from fdopt.trainer import TargetSpec, TrainConfig
+from fdopt.trainer import FileTarget, MixtureTarget, TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -206,6 +208,42 @@ class TestBuild:
         train = build_config(parse_config(text)).train
         assert train.target.path == "/data/rows.bin"
 
+    def test_each_kind_builds_its_own_type(self):
+        text = (
+            "[ensemble]\nrep.0.kind = identity\n"
+            "[target]\nkind = mixture\ncomp.0.weight = 1\ncomp.0.mean = 0, 0\n"
+            "comp.0.cov = 1, 0, 0, 1\n"
+            "[source]\nkind = file\npath = rows.bin\nsample_seed = 4\n"
+        )
+        loaded = build_config(parse_config(text))
+        assert type(loaded.train.target) is MixtureTarget
+        assert loaded.train.target.dim == 2
+        assert loaded.source == FileTarget("rows.bin", sample_seed=4)
+
+    def test_component_means_must_share_their_length(self):
+        text = FULL_TEXT.replace(
+            "comp.1.mean = 2.0, 1.0\ncomp.1.cov = 0.5, 0.1, 0.1, 0.4",
+            "comp.1.mean = 2.0, 1.0, 0.0\ncomp.1.cov = 1, 0, 0, 0, 1, 0, 0, 0, 1",
+        )
+        match = r"^target\.comp\.1\.mean has 3 entries, unlike comp\.0\.mean$"
+        with pytest.raises(ConfigError, match=match):
+            build_config(parse_config(text))
+
+    def test_mixture_rejects_a_path(self):
+        text = FULL_TEXT.replace("[target]\n", "[target]\npath = nowhere.bin\n")
+        match = r"^target\.path is not a key of a mixture \[target\]$"
+        with pytest.raises(ConfigError, match=match):
+            build_config(parse_config(text))
+
+    def test_file_rejects_a_component(self):
+        text = (
+            "[ensemble]\nrep.0.kind = identity\n"
+            "[source]\nkind = file\npath = rows.bin\ncomp.0.weight = 1.0\n"
+        )
+        match = r"^source\.comp\.0\.weight is not a key of a file \[source\]$"
+        with pytest.raises(ConfigError, match=match):
+            build_config(parse_config(text))
+
     def test_file_target_keeps_sample_seed(self):
         # the seed of the with-replacement resampling stream
         text = (
@@ -243,11 +281,14 @@ class TestBuild:
                 )
             )
 
-    def test_hidden_must_be_integers(self):
-        with pytest.raises(ConfigError, match="trainer.hidden"):
+    # each entry is read like a scalar integer key, so 64.0 is rejected as
+    # z_dim = 8.0 is, and a non-finite value never reaches int()
+    @pytest.mark.parametrize("hidden", ["16.5, 8", "64.0", "nan", "inf", "1e400"])
+    def test_hidden_must_be_integers(self, hidden):
+        with pytest.raises(ConfigError, match=r"^trainer\.hidden: not an integer: '"):
             build_config(
                 parse_config(
-                    "[trainer]\nhidden = 16.5, 8\n[ensemble]\nrep.0.kind = identity\n"
+                    f"[trainer]\nhidden = {hidden}\n[ensemble]\nrep.0.kind = identity\n"
                     "[target]\ncomp.0.weight = 1\ncomp.0.mean = 0, 0\n"
                     "comp.0.cov = 1, 0, 0, 1\n"
                 )
@@ -371,7 +412,7 @@ def test_each_default_has_one_owner():
         assert getattr(train, field.name) == getattr(want, field.name), field.name
     assert loaded.ensemble.c == _default(RepresentationEnsemble, "c")
     assert loaded.ensemble.specs[0].scale == _default(RepresentationSpec, "scale")
-    assert train.target.sample_seed == _default(TargetSpec, "sample_seed")
+    assert train.target.sample_seed == _default(MixtureTarget, "sample_seed")
     assert loaded.pretrain_steps == _default(LoadedConfig, "pretrain_steps")
 
 
@@ -387,6 +428,9 @@ def test_accepted_keys_per_section():
         "target": {"kind", "sample_seed", "path"},
         "source": {"kind", "sample_seed", "path"},
     }
+    # each kind's own keys; a mixture also takes comp.N.weight/mean/cov
+    assert set(_MIXTURE) == {"sample_seed"}
+    assert set(_FILE) == {"path", "sample_seed"}
     for field in ("kind", "seed", "out_dim", "scale"):
         parse_config(f"[ensemble]\nrep.3.{field} = 1\n")
     with pytest.raises(ConfigError, match="unknown key 'rep.0.in_dim'"):

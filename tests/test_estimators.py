@@ -152,7 +152,7 @@ class TestQueueRunningSums:
     def test_dense_rebuild_once_per_turnover(self, monkeypatch):
         import fdopt.estimators as estimators_module
         from fdopt.representations import RepresentationEnsemble, RepresentationSpec
-        from fdopt.trainer import TargetSpec, TrainConfig, post_train
+        from fdopt.trainer import MixtureTarget, TrainConfig, post_train
 
         rebuilds = 0
         original = estimators_module._rebuild
@@ -168,7 +168,7 @@ class TestQueueRunningSums:
             ensemble=RepresentationEnsemble(
                 specs=(RepresentationSpec("tanh_rf", 1, 2, 16),)
             ),
-            target=TargetSpec(
+            target=MixtureTarget(
                 means=[[0.0, 1.0]], covs=[np.eye(2)], weights=[1.0], sample_seed=2
             ),
             batch_size=b,

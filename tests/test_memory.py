@@ -15,7 +15,7 @@ from fdopt.frechet import split_stats
 from fdopt.metrics import build_report
 from fdopt.representations import RepresentationEnsemble, RepresentationSpec
 from fdopt.rng import SplitMix64
-from fdopt.trainer import GeneratorModel, TargetSpec, generate, sample_target
+from fdopt.trainer import GeneratorModel, MixtureTarget, generate, sample_target
 
 ROWS = 131_072
 MB = 2**20
@@ -71,7 +71,7 @@ def test_sample_peak_holds_no_full_noise_matrix(tmp_path):
 
 
 def mixture_target():
-    return TargetSpec(
+    return MixtureTarget(
         means=[[-2.0, 0.0], [2.5, 1.0]],
         covs=[np.diag([0.3, 0.2]), [[0.4, 0.1], [0.1, 0.3]]],
         weights=[0.4, 0.6],

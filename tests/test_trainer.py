@@ -13,8 +13,9 @@ from fdopt.representations import (
 from fdopt.rng import SplitMix64
 from fdopt.trainer import (
     GeneratorModel,
+    FileTarget,
+    MixtureTarget,
     OptState,
-    TargetSpec,
     TrainConfig,
     _buffers,
     _forward,
@@ -36,7 +37,7 @@ from oracles import (
 
 
 def two_mode_target(sample_seed=5):
-    return TargetSpec(
+    return MixtureTarget(
         means=[[-2.0, 0.0], [2.5, 1.0]],
         covs=[np.diag([0.3, 0.2]), [[0.4, 0.1], [0.1, 0.3]]],
         weights=[0.4, 0.6],
@@ -200,9 +201,11 @@ class TestLrSchedule:
 
 
 class TestTargetSpec:
+    """MixtureTarget's checks and draws, and FileTarget's resampling."""
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(DataError, match="sum"):
-            TargetSpec(
+            MixtureTarget(
                 means=[[0.0], [1.0]],
                 covs=[np.eye(1), np.eye(1)],
                 weights=[0.5, 0.6],
@@ -210,15 +213,23 @@ class TestTargetSpec:
 
     def test_non_psd_covariance_rejected(self):
         with pytest.raises(DataError, match="PSD"):
-            TargetSpec(
+            MixtureTarget(
                 means=[[0.0, 0.0]],
                 covs=[np.array([[1.0, 2.0], [2.0, 1.0]])],
                 weights=[1.0],
             )
 
-    def test_exactly_one_source(self):
-        with pytest.raises(DataError, match="exactly one"):
-            TargetSpec()
+    def test_caller_arrays_are_left_intact(self):
+        # the covariance is stored symmetrized, in a copy of its own
+        means, weights = np.zeros((1, 2)), np.ones(1)
+        covs = np.array([[[1.0, 0.5 + 1e-13], [0.5, 1.0]]])
+        before = covs.copy()
+        target = MixtureTarget(means, covs, weights)
+        assert covs.tobytes() == before.tobytes()
+        assert target.covs[0, 0, 1] == target.covs[0, 1, 0]
+        stored = (target.means, target.covs, target.weights)
+        for mine, theirs in zip(stored, (means, covs, weights)):
+            assert not np.shares_memory(mine, theirs)
 
     def test_sampling_is_deterministic(self):
         target = two_mode_target()
@@ -242,7 +253,7 @@ class TestTargetSpec:
         rows = SplitMix64(44).normal_matrix(50, 2)
         path = str(tmp_path / "rows.fdf")
         write_features(path, rows)
-        target = TargetSpec(path=path)
+        target = FileTarget(path)
         drawn = sample_target(target, 200, "pretrain")
         assert drawn.shape == (200, 2)
         f32 = rows.astype(np.float32).astype(np.float64)
@@ -298,7 +309,7 @@ def reference_post_train(config):
     specs, queue = config.ensemble.specs, config.estimator == "queue"
     count = config.effective_warm_start
     # a file target is its population; a mixture draws the reference rows
-    if config.target.path is not None:
+    if isinstance(config.target, FileTarget):
         rows = read_features(config.target.path)
     else:
         rows = sample_target(config.target, count, "reference")
@@ -434,7 +445,7 @@ class TestPostTrain:
         # fixed-point sanity: a generator that already matches the target
         # should not be pushed away; the learning rate is kept small so
         # parameter drift stays below the evaluation noise floor
-        target = TargetSpec(
+        target = MixtureTarget(
             means=[[0.0, 0.0]], covs=[np.eye(2)], weights=[1.0], sample_seed=9
         )
         cfg = TrainConfig(
@@ -552,7 +563,7 @@ class TestPostTrain:
 
         path = str(tmp_path / "target.fdf")
         write_features(path, sample_target(two_mode_target(), 1000, "file"))
-        cfg = self.small_config(target=TargetSpec(path=path), total_steps=2)
+        cfg = self.small_config(target=FileTarget(path), total_steps=2)
         want_model, want_rows = reference_post_train(cfg)
 
         def read_whole(path):
@@ -591,7 +602,7 @@ class TestPostTrain:
 class TestPretrainRegression:
     def test_zero_steps_no_change(self):
         model = GeneratorModel.init([2, 4, 1], seed=1)
-        source = TargetSpec(
+        source = MixtureTarget(
             means=[[0.0]], covs=[np.eye(1)], weights=[1.0]
         )
         same = pretrain_regression(model, source, steps=0)
@@ -600,12 +611,12 @@ class TestPretrainRegression:
     def test_batch_size_below_one_rejected(self):
         # a zero-row batch would take steps zero-gradient updates silently
         model = GeneratorModel.init([2, 4, 1], seed=1)
-        source = TargetSpec(means=[[0.0]], covs=[np.eye(1)], weights=[1.0])
+        source = MixtureTarget(means=[[0.0]], covs=[np.eye(1)], weights=[1.0])
         with pytest.raises(DataError, match="batch_size"):
             pretrain_regression(model, source, steps=3, batch_size=0)
 
     def test_linear_map_learns_identity_transport(self):
-        source = TargetSpec(
+        source = MixtureTarget(
             means=[[0.0]], covs=[np.eye(1)], weights=[1.0], sample_seed=2
         )
         model = GeneratorModel((1, 1), np.array([0.2, 0.0]))
@@ -621,7 +632,7 @@ class TestPretrainRegression:
     def test_matches_least_squares_oracle(self):
         from fdopt.rng import derive_seed
 
-        source = TargetSpec(
+        source = MixtureTarget(
             means=[[0.0]], covs=[np.eye(1)], weights=[1.0], sample_seed=2
         )
         model = GeneratorModel((1, 1), np.array([0.2, 0.0]))
@@ -644,7 +655,7 @@ class TestPretrainRegression:
     def test_training_leaves_caller_model_intact(self):
         model = GeneratorModel.init([2, 4, 1], seed=1)
         before = model.theta.copy()
-        source = TargetSpec(means=[[0.0]], covs=[np.eye(1)], weights=[1.0])
+        source = MixtureTarget(means=[[0.0]], covs=[np.eye(1)], weights=[1.0])
         trained = pretrain_regression(model, source, steps=5)
         assert model.theta.tobytes() == before.tobytes()
         assert trained.theta.tobytes() != before.tobytes()
@@ -662,7 +673,7 @@ class TestPretrainRegression:
 
         monkeypatch.setattr(trainer_module, "optimizer_step", recorded)
         model = GeneratorModel.init([2, 4, 1], seed=1)
-        source = TargetSpec(means=[[0.0]], covs=[np.eye(1)], weights=[1.0])
+        source = MixtureTarget(means=[[0.0]], covs=[np.eye(1)], weights=[1.0])
         with pytest.raises(NonFiniteLossError, match="parameters at step 1$") as info:
             pretrain_regression(model, source, steps=20, lr=1e200)
         assert (info.value.quantity, info.value.label) == ("parameters", None)
@@ -673,6 +684,6 @@ class TestPretrainRegression:
 
     def test_source_generator_dim_mismatch(self):
         model = GeneratorModel.init([2, 4, 2], seed=1)
-        source = TargetSpec(means=[[0.0]], covs=[np.eye(1)], weights=[1.0])
+        source = MixtureTarget(means=[[0.0]], covs=[np.eye(1)], weights=[1.0])
         with pytest.raises(DataError, match="dim"):
             pretrain_regression(model, source, steps=5)
