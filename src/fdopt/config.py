@@ -4,9 +4,10 @@ Syntax: `[section]` headers, `key = value` lines, `#` starts a comment
 anywhere on a line. Sections: [trainer], [estimator], [ensemble],
 [target], and optionally [source] (a second population for regression
 pretraining). Representations are indexed entries (rep.0.kind, ...) inside
-[ensemble]. [target]/[source] is the population its `kind` names: a mixture
-(the default) of indexed components (comp.0.weight, comp.0.mean, comp.0.cov
-row-major, ...) or a features file (path), each kind with its own keys.
+[ensemble]. [estimator], [target] and [source] take the keys of the kind
+their `kind` names: an EMA (the default; beta) or a queue (capacity); a
+mixture (the default) of indexed components (comp.0.weight, comp.0.mean,
+comp.0.cov row-major, ...) or a features file (path).
 
 Unknown sections or keys, a key of the other kind included, are rejected
 rather than ignored, so a typo in beta/capacity/c cannot silently change a
@@ -46,9 +47,12 @@ def _int(raw: str, where: str) -> int:
 
 def _float(raw: str, where: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{where}: not a number: {raw!r}") from None
+    if not np.isfinite(value):
+        raise ConfigError(f"{where}: not a finite number: {raw!r}")
+    return value
 
 
 def _str(raw: str, where: str) -> str:
@@ -79,11 +83,9 @@ _TRAINER = {
     "out_dim": ("out_dim", _int),
 }
 _PRETRAIN = {"pretrain_steps": ("pretrain_steps", _int)}  # [trainer], LoadedConfig
-_ESTIMATOR = {
-    "kind": ("estimator", _str),
-    "beta": ("ema_beta", _float),
-    "capacity": ("queue_capacity", _int),
-}
+# an [estimator] of each kind
+_EMA = {"kind": ("estimator", _str), "beta": ("ema_beta", _float)}
+_QUEUE = {"kind": ("estimator", _str), "capacity": ("queue_capacity", _int)}
 _ENSEMBLE = {"c": ("c", _float), "weights": ("weights", _list(_float))}
 _REP = {
     "kind": ("kind", _str),
@@ -97,7 +99,7 @@ _FILE = {"path": ("path", _str), "sample_seed": ("sample_seed", _int)}
 
 _SECTION_KEYS = {
     "trainer": {*_TRAINER, *_PRETRAIN},
-    "estimator": set(_ESTIMATOR),
+    "estimator": {*_EMA, *_QUEUE},
     "ensemble": set(_ENSEMBLE),
     "target": {"kind", *_MIXTURE, *_FILE},
     "source": {"kind", *_MIXTURE, *_FILE},
@@ -211,20 +213,25 @@ def _build_ensemble(section: dict, in_dim: int) -> RepresentationEnsemble:
     return _construct(RepresentationEnsemble, keys, specs=tuple(specs), **ensemble)
 
 
-def _build_target(section: dict, name: str) -> MixtureTarget | FileTarget:
-    """The section's population, of the kind its `kind` key names. A key of
-    the other kind is rejected; a mixture's errors name the section."""
-    kind = section.get("kind", "mixture")
-    if kind not in ("mixture", "file"):
-        raise ConfigError(f"{name}.kind must be mixture or file, got {kind!r}")
-    table = _FILE if kind == "file" else _MIXTURE
+def _kind_table(section: dict, name: str, tables: dict) -> dict:
+    """The key table in tables of the section's `kind` (the first when unset).
+    A key of another kind is a ConfigError naming it; a mixture also has comp.N.*."""
+    kind = section.get("kind", next(iter(tables)))
+    if kind not in tables:
+        raise ConfigError(f"{name}.kind must be {' or '.join(tables)}, got {kind!r}")
     for key in section:
-        if key not in table and key != "kind" and not (
-            kind == "mixture" and _COMP_KEY.match(key)
+        if key not in tables[kind] and key != "kind" and not (
+            tables[kind] is _MIXTURE and _COMP_KEY.match(key)
         ):
-            raise ConfigError(f"{name}.{key} is not a key of a {kind} [{name}]")
+            raise ConfigError(f"{name}.{key} is not a key of kind {kind}")
+    return tables[kind]
+
+
+def _build_target(section: dict, name: str) -> MixtureTarget | FileTarget:
+    """The section's population, of its kind; a mixture's errors name the section."""
+    table = _kind_table(section, name, {"mixture": _MIXTURE, "file": _FILE})
     fields = _fields(section, table, f"{name}.")
-    if kind == "file":
+    if table is _FILE:
         if "path" not in fields:
             raise ConfigError(f"missing required key {name}.path")
         return FileTarget(**fields)
@@ -263,8 +270,10 @@ class LoadedConfig:
 
 def build_config(sections: dict[str, dict[str, str]]) -> LoadedConfig:
     trainer = sections.get("trainer", {})
-    estimator = _fields(sections.get("estimator", {}), _ESTIMATOR, "estimator.")
-    train_fields = _fields(trainer, _TRAINER, "trainer.") | estimator
+    estimator = sections.get("estimator", {})
+    table = _kind_table(estimator, "estimator", {"ema": _EMA, "queue": _QUEUE})
+    train_fields = _fields(trainer, _TRAINER, "trainer.")
+    train_fields |= _fields(estimator, table, "estimator.")
     if "ensemble" not in sections:
         raise ConfigError("missing required section [ensemble]")
     in_dim = train_fields.get("out_dim", TrainConfig.out_dim)
@@ -276,7 +285,7 @@ def build_config(sections: dict[str, dict[str, str]]) -> LoadedConfig:
     if "target" in sections:
         train = _construct(
             TrainConfig,
-            _keys(_TRAINER, "trainer.") | _keys(_ESTIMATOR, "estimator."),
+            _keys(_TRAINER, "trainer.") | _keys(table, "estimator."),
             ensemble=ensemble,
             target=_build_target(sections["target"], "target"),
             **train_fields,

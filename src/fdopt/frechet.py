@@ -98,8 +98,8 @@ def make_reference(stats: GaussianStats) -> ReferenceStats:
 
 
 # Rows per block of a population's moments, and of the generator's sample
-# forward. It equals the trainer's default warm-start count, so the
-# trainer's evaluations are one block each.
+# forward. It is the trainer's default population size (warm_start_count),
+# so by default each of the trainer's evaluations is one block.
 BLOCK_ROWS = 4096
 
 

@@ -365,9 +365,9 @@ class TrainConfig:
     Defaults are desk-scale: a (64, 64)-hidden tanh MLP mapping 8-d noise
     to 2-d samples, batch 128, 3000 steps with 150 linear-warmup steps into
     a cosine decay, peak learning rate 1e-3, moment betas (0.9, 0.95), no
-    weight decay. warm_start_count defaults to max(queue capacity, 4096)
-    and also sets the sample budget for mixture reference statistics and
-    final evaluation.
+    weight decay. warm_start_count is the population size N, whatever the
+    estimator: the rows of a mixture's reference draw and of the warm-start
+    and final evaluations. A queue holds between batch_size and N rows.
     """
 
     ensemble: RepresentationEnsemble
@@ -383,7 +383,7 @@ class TrainConfig:
     estimator: str = "ema"
     ema_beta: float = 0.999
     queue_capacity: int = 1024
-    warm_start_count: int | None = None
+    warm_start_count: int = BLOCK_ROWS
     z_dim: int = 8
     hidden: tuple[int, ...] = (64, 64)
     out_dim: int = 2
@@ -413,18 +413,15 @@ class TrainConfig:
             raise ConfigError(f"estimator must be queue or ema, got {self.estimator}")
         if not (0.0 <= self.ema_beta < 1.0):
             raise ConfigError(f"ema_beta must lie in [0, 1), got {self.ema_beta}")
-        if self.queue_capacity < self.batch_size and self.estimator == "queue":
+        if self.warm_start_count < 1:
+            raise ConfigError(f"warm_start_count must be >= 1, got {self.warm_start_count}")
+        if self.estimator == "queue" and not (
+            self.batch_size <= self.queue_capacity <= self.warm_start_count
+        ):
             raise ConfigError(
-                f"queue_capacity must be >= batch_size {self.batch_size}, got "
-                f"{self.queue_capacity}"
+                f"queue_capacity must lie in [batch_size, trainer.warm_start_count] = "
+                f"[{self.batch_size}, {self.warm_start_count}], got {self.queue_capacity}"
             )
-        if self.warm_start_count is not None:
-            # a queue warm start fills the whole ring
-            floor = self.queue_capacity if self.estimator == "queue" else 1
-            if self.warm_start_count < floor:
-                raise ConfigError(
-                    f"warm_start_count must be >= {floor}, got {self.warm_start_count}"
-                )
         if self.ensemble.in_dim != self.out_dim:
             raise ConfigError(
                 f"representations expect in_dim {self.ensemble.in_dim} but the "
@@ -435,13 +432,6 @@ class TrainConfig:
                 f"out_dim must equal the target dim {self.target.dim}, got "
                 f"{self.out_dim}"
             )
-
-    @property
-    def effective_warm_start(self) -> int:
-        if self.warm_start_count is not None:
-            return self.warm_start_count
-        floor = self.queue_capacity if self.estimator == "queue" else 0
-        return max(floor, 4096)
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -478,22 +468,22 @@ class MetricsLog:
 
 def _references(config: TrainConfig) -> list[ReferenceStats]:
     """One reference per space: a file target is its population, streamed
-    as-is; a mixture draws effective_warm_start rows to stand for it."""
+    as-is; a mixture draws warm_start_count rows to stand for it."""
     target = config.target
     if isinstance(target, FileTarget):
         rows = read_feature_blocks([target.path])
     else:
-        rows = sample_target(target, config.effective_warm_start, "reference")
+        rows = sample_target(target, config.warm_start_count, "reference")
     stats = split_stats(config.ensemble.specs, rows, "target rows")
     return [make_reference(s) for s in stats]
 
 
 def _evaluate(config: TrainConfig, model: GeneratorModel, refs, noise_name: str):
-    """Large-sample evaluation of a model: effective_warm_start rows from the
+    """Large-sample evaluation of a model: warm_start_count rows from the
     named noise stream, generated, with their stats and distance per space.
     Returns (rows, stats, distances)."""
     stream = SplitMix64(derive_seed(noise_name, config.seed))
-    x = generate(model, stream.normal_matrix(config.effective_warm_start, config.z_dim))
+    x = generate(model, stream.normal_matrix(config.warm_start_count, config.z_dim))
     stats = split_stats(config.ensemble.specs, x, "generated samples")
     return x, stats, [fd(ref, s) for ref, s in zip(refs, stats)]
 

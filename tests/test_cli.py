@@ -290,8 +290,22 @@ class TestDataErrors:
             ("hidden = 16, 16", "hidden = nan", "trainer.hidden"),
             ("hidden = 16, 16", "hidden = inf", "trainer.hidden"),
             ("hidden = 16, 16", "hidden = 1e400", "trainer.hidden"),
+            # a float key is finite
+            ("comp.0.mean = -2.0, 0.0", "comp.0.mean = nan, 0.0", "target.comp.0.mean"),
+            ("comp.0.weight = 0.4", "comp.0.weight = inf", "target.comp.0.weight"),
+            ("[ensemble]\n", "[ensemble]\nc = inf\n", "ensemble.c"),
+            ("rep.1.out_dim = 6", "rep.1.out_dim = 6\nrep.1.scale = inf", "ensemble.rep.1.scale"),
+            # a key of the other estimator kind
+            ("kind = ema", "kind = queue", "estimator.beta"),
+            ("beta = 0.9", "beta = 0.9\ncapacity = 3", "estimator.capacity"),
+            # a queue longer than the population size, 4096 rows when unset
+            ("kind = ema\nbeta = 0.9", "kind = queue\ncapacity = 4097", "estimator.capacity"),
         ],
-        ids=["mean_lengths", "mixture_path", "file_comp", "nan", "inf", "1e400"],
+        ids=[
+            "mean_lengths", "mixture_path", "file_comp", "nan", "inf", "1e400",
+            "nan_mean", "inf_weight", "inf_c", "inf_scale", "queue_beta",
+            "ema_capacity", "long_queue",
+        ],
     )
     def test_malformed_config_is_exit_2_naming_its_key(
         self, workspace, capsys, old, new, key

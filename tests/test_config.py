@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from fdopt.config import (
+    _EMA,
     _FILE,
     _MIXTURE,
+    _QUEUE,
     _SECTION_KEYS,
     LoadedConfig,
     build_config,
@@ -40,7 +42,6 @@ pretrain_steps = 7
 
 [estimator]
 kind = queue
-beta = 0.95
 capacity = 256
 
 [ensemble]
@@ -116,12 +117,8 @@ class TestBuild:
         assert (train.warmup_steps, train.peak_lr) == (5, 0.002)
         assert (train.beta1, train.beta2, train.weight_decay) == (0.9, 0.99, 0.01)
         assert (train.z_dim, train.hidden, train.out_dim) == (4, (16, 8), 2)
-        assert (train.estimator, train.ema_beta, train.queue_capacity) == (
-            "queue",
-            0.95,
-            256,
-        )
-        assert train.warm_start_count is None
+        assert (train.estimator, train.queue_capacity) == ("queue", 256)
+        assert train.warm_start_count == 4096
         assert loaded.pretrain_steps == 7
 
         ensemble = loaded.ensemble
@@ -231,7 +228,7 @@ class TestBuild:
 
     def test_mixture_rejects_a_path(self):
         text = FULL_TEXT.replace("[target]\n", "[target]\npath = nowhere.bin\n")
-        match = r"^target\.path is not a key of a mixture \[target\]$"
+        match = r"^target\.path is not a key of kind mixture$"
         with pytest.raises(ConfigError, match=match):
             build_config(parse_config(text))
 
@@ -240,7 +237,21 @@ class TestBuild:
             "[ensemble]\nrep.0.kind = identity\n"
             "[source]\nkind = file\npath = rows.bin\ncomp.0.weight = 1.0\n"
         )
-        match = r"^source\.comp\.0\.weight is not a key of a file \[source\]$"
+        match = r"^source\.comp\.0\.weight is not a key of kind file$"
+        with pytest.raises(ConfigError, match=match):
+            build_config(parse_config(text))
+
+    @pytest.mark.parametrize(
+        "old, new, key, kind",
+        [
+            ("capacity = 256", "capacity = 256\nbeta = 0.5", "beta", "queue"),
+            ("kind = queue", "kind = ema", "capacity", "ema"),
+        ],
+        ids=["queue_beta", "ema_capacity"],
+    )
+    def test_estimator_rejects_a_key_of_the_other_kind(self, old, new, key, kind):
+        text = FULL_TEXT.replace(old, new, 1)
+        match = rf"^estimator\.{key} is not a key of kind {kind}$"
         with pytest.raises(ConfigError, match=match):
             build_config(parse_config(text))
 
@@ -294,6 +305,12 @@ class TestBuild:
                 )
             )
 
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf", "1e400"])
+    def test_float_keys_must_be_finite(self, c):
+        text = FULL_TEXT.replace("c = 0.02", f"c = {c}")
+        with pytest.raises(ConfigError, match=rf"^ensemble\.c: not a finite number: '{c}'$"):
+            build_config(parse_config(text))
+
     @pytest.mark.parametrize(
         "edits, field",
         [
@@ -306,11 +323,14 @@ class TestBuild:
             ({"weight_decay = 0.01": "weight_decay = inf"}, "weight_decay"),
             ({"weight_decay = 0.01": "weight_decay = nan"}, "weight_decay"),
             (
-                {"kind = queue": "kind = ema", "seed = 3": "seed = 3\nwarm_start_count = 0"},
+                {
+                    "kind = queue\ncapacity = 256": "kind = ema",
+                    "seed = 3": "seed = 3\nwarm_start_count = 0",
+                },
                 "warm_start_count",
             ),
-            # a queue warm start fills the whole 256-row ring
-            ({"seed = 3": "seed = 3\nwarm_start_count = 255"}, "warm_start_count"),
+            # a queue's N is checked before its capacity
+            ({"seed = 3": "seed = 3\nwarm_start_count = 0"}, "warm_start_count"),
             ({"peak_lr = 0.002": "peak_lr = inf"}, "peak_lr"),
             ({"peak_lr = 0.002": "peak_lr = nan"}, "peak_lr"),
             ({"peak_lr = 0.002": "peak_lr = 0"}, "peak_lr"),
@@ -322,9 +342,16 @@ class TestBuild:
             ({"rep.1.out_dim = 6": "rep.1.out_dim = 0"}, r"ensemble\.rep\.1\.out_dim must"),
             ({"c = 0.02": "c = 0"}, r"ensemble\.c must be > 0"),
             # [estimator] keys set TrainConfig fields of other names
-            ({"beta = 0.95": "beta = 1.5"}, r"estimator\.beta must lie in \[0, 1\)"),
-            ({"kind = queue": "kind = fifo"}, r"estimator\.kind must be queue or ema"),
-            ({"capacity = 256": "capacity = 2"}, r"estimator\.capacity must be >= batch_size"),
+            (
+                {"kind = queue": "kind = ema\nbeta = 1.5", "capacity = 256\n": ""},
+                r"estimator\.beta must lie in \[0, 1\)",
+            ),
+            ({"kind = queue": "kind = fifo"}, r"estimator\.kind must be ema or queue, got 'fifo'$"),
+            (
+                {"capacity = 256": "capacity = 2"},
+                r"estimator\.capacity must lie in \[batch_size, trainer\.warm_start_count\] = "
+                r"\[32, 4096\], got 2$",
+            ),
             ({"warmup_steps = 5": "warmup_steps = 51"}, r"trainer\.warmup_steps must lie"),
             # cross-field errors name the field the file sets
             (
@@ -354,6 +381,18 @@ class TestBuild:
                     "0.0, 0.0\ncomp.0.cov = 1, 2, 2, 1",
                 },
                 r"\[source\] component 0 covariance is not PSD",
+            ),
+            # a queue warm start fills its whole ring from the warm
+            # evaluation's warm_start_count rows, 4096 when unset
+            (
+                {"capacity = 256": "capacity = 4097"},
+                r"^estimator\.capacity must lie in \[batch_size, trainer\.warm_start_count\] "
+                r"= \[32, 4096\], got 4097$",
+            ),
+            (
+                {"seed = 3": "seed = 3\nwarm_start_count = 255"},
+                r"^estimator\.capacity must lie in \[batch_size, trainer\.warm_start_count\] "
+                r"= \[32, 255\], got 256$",
             ),
         ],
     )
@@ -429,6 +468,7 @@ def test_accepted_keys_per_section():
         "source": {"kind", "sample_seed", "path"},
     }
     # each kind's own keys; a mixture also takes comp.N.weight/mean/cov
+    assert (set(_EMA), set(_QUEUE)) == ({"kind", "beta"}, {"kind", "capacity"})
     assert set(_MIXTURE) == {"sample_seed"}
     assert set(_FILE) == {"path", "sample_seed"}
     for field in ("kind", "seed", "out_dim", "scale"):

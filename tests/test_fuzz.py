@@ -67,8 +67,15 @@ MIXTURE = _key_lines(BUNDLED["mixture"])
 
 
 def _check_populations(sections, loaded) -> None:
-    """A [target]/[source] that builds holds every key it sets."""
-    built = {"target": loaded.train and loaded.train.target, "source": loaded.source}
+    """A [target]/[source], and the [estimator] of a run, that builds holds
+    every key it sets."""
+    train, estimator = loaded.train, sections.get("estimator", {})
+    if train and "beta" in estimator:
+        assert (train.estimator, train.ema_beta) == ("ema", float(estimator["beta"]))
+    if train and "capacity" in estimator:
+        capacity = int(estimator["capacity"])
+        assert (train.estimator, train.queue_capacity) == ("queue", capacity)
+    built = {"target": train and train.target, "source": loaded.source}
     for name, population in built.items():
         section = sections.get(name, {})
         if "path" in section:
@@ -85,6 +92,10 @@ def _check_populations(sections, loaded) -> None:
 # a mixture [target] given a file's path
 @example(_edit(MIXTURE, "[target]", "[target]\npath = nowhere.bin"))
 @example(_edit(MIXTURE, "hidden = 64, 64", "hidden = nan"))
+# a key of the other estimator kind, and a non-finite float
+@example(_edit(MIXTURE, "beta = 0.999", "capacity = 3"))
+@example(_edit(MIXTURE, "kind = ema", "kind = queue").replace("0.999", "0.5"))
+@example(_edit(MIXTURE, "comp.0.mean = -2.0, 0.0", "comp.0.mean = nan, 0.0"))
 def test_config_builds_or_raises_a_config_error(text):
     try:
         sections = parse_config(text)

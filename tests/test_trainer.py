@@ -18,7 +18,9 @@ from fdopt.trainer import (
     OptState,
     TrainConfig,
     _buffers,
+    _evaluate,
     _forward,
+    _references,
     generate,
     generator_backprop,
     lr_at,
@@ -307,7 +309,7 @@ def reference_post_train(config):
     from fdopt.rng import derive_seed
 
     specs, queue = config.ensemble.specs, config.estimator == "queue"
-    count = config.effective_warm_start
+    count = config.warm_start_count
     # a file target is its population; a mixture draws the reference rows
     if isinstance(config.target, FileTarget):
         rows = read_features(config.target.path)
@@ -426,12 +428,30 @@ class TestPostTrain:
         ]
         rows = []
         for arm in arms:
-            cfg = self.small_config(batch_size=4, warm_start_count=None, **arm)
-            assert cfg.queue_capacity < cfg.effective_warm_start
+            cfg = self.small_config(batch_size=4, warm_start_count=BLOCK_ROWS, **arm)
+            assert cfg.queue_capacity < cfg.warm_start_count
             _, log = post_train(cfg)
             rows.append(log.rows()[0])
         assert rows[0][0] == "warm_start"
         assert rows[1] == rows[0] and rows[2] == rows[0]
+
+    def test_every_estimator_draws_one_population(self):
+        # the reference draw and both evaluations are N = warm_start_count
+        # rows (BLOCK_ROWS unless set) whatever the estimator, and a queue of
+        # N rows is the longest allowed
+        n = TrainConfig.warm_start_count
+        assert n == BLOCK_ROWS
+        ema = self.small_config(warm_start_count=n)
+        queue = self.small_config(warm_start_count=n, estimator="queue", queue_capacity=n)
+        model = GeneratorModel.init(ema.layer_dims, ema.seed)
+        drawn = []
+        for cfg in (ema, queue):
+            refs = _references(cfg)
+            x, _, fds = _evaluate(cfg, model, refs, "warm-start-noise")
+            assert x.shape[0] == n
+            stats = [(r.stats.mu.tobytes(), r.stats.sigma.tobytes()) for r in refs]
+            drawn.append((stats, x.tobytes(), fds))
+        assert drawn[0] == drawn[1]
 
     def test_training_leaves_caller_model_intact(self):
         cfg = self.small_config()
