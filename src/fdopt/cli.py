@@ -4,7 +4,7 @@ Exit codes: 0 success; 1 usage error (bad flags, unknown subcommand);
 2 data or format error (missing files, bad magic, truncation, config
 typos, shape mismatches, non-finite inputs, and text inputs that do not
 parse: a config or metrics log that is not UTF-8, a log cell that is not
-a number); 3 numerical failure (non-finite loss, eigensolver
+a finite number); 3 numerical failure (non-finite loss, eigensolver
 non-convergence, report write failure). Each input is checked once, by
 its reader; `sample` and `train --init` run GeneratorModel(*read_checkpoint).
 A `train` run that goes non-finite writes no checkpoint at --out; it

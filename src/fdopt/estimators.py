@@ -17,7 +17,7 @@ constant during backprop, so one formula serves both kinds:
 
     grad(x_i) = ((1 - a) / B) (d_mu + 2 d_sigma (x_i - mu)),
 
-matching the update order
+matching the update order, which a training step keeps for each map
 
     merge history + batch -> loss -> backward -> step -> commit batch
 

@@ -332,22 +332,27 @@ def write_metrics_log(path: str, labels, rows) -> None:
 
 
 def read_metrics_log(path: str):
-    """Returns (labels, rows) mirroring metrics_log_text input."""
+    """Returns (labels, rows) mirroring metrics_log_text input, which holds
+    only fd_<label> columns, the phases warm_start, train and final, steps
+    >= 0 and finite numbers; anything else is a DataError naming its line."""
     text = read_text(path)
     lines = text.strip().split("\n")
-    if not lines[0].startswith("phase,step,lr,loss"):
-        raise DataError(f"{path}: missing metrics log header")
-    headers = lines[0].split(",")
-    labels = [h[len("fd_") :] for h in headers[4:]]
-    rows = []
     header_line = text.count("\n", 0, len(text) - len(text.lstrip())) + 1
+    headers = lines[0].split(",")
+    labels = [h.removeprefix("fd_") for h in headers[4:]]
+    if not all(labels) or metrics_log_text(labels, []) != lines[0] + "\n":
+        want = "phase,step,lr,loss then fd_<label> columns"
+        raise DataError(f"{path}: line {header_line}: {lines[0]!r} is not {want}")
+    rows = []
     for lineno, line in enumerate(lines[1:], start=header_line + 1):
         cells = line.split(",")
         try:
             row = (cells[0], int(cells[1])) + tuple(map(float, cells[2:]))
         except (IndexError, ValueError):
             row = ()
-        if len(row) != len(headers):
+        if len(row) != len(headers) or not np.isfinite(row[2:]).all():
             raise DataError(f"{path}: line {lineno}: malformed log row {line!r}")
+        if row[0] not in ("warm_start", "train", "final") or row[1] < 0:
+            raise DataError(f"{path}: line {lineno}: bad phase or step {line!r}")
         rows.append(row)
     return labels, rows

@@ -210,10 +210,6 @@ def _value(ref: ReferenceStats, gen: GaussianStats):
     trace_gen = float(np.trace(gen.sigma))
     cross = float(np.sqrt(np.maximum(w, 0.0)).sum())
     raw = mean_term + trace_ref + trace_gen - 2.0 * cross
-    return _report_fd(raw, trace_ref, trace_gen), w, v
-
-
-def _report_fd(raw: float, trace_ref: float, trace_gen: float) -> float:
     slack = 1e-6 * (abs(trace_ref) + abs(trace_gen)) + 1e-12
     if raw < -slack:
         raise NumericalError(
@@ -222,8 +218,7 @@ def _report_fd(raw: float, trace_ref: float, trace_gen: float) -> float:
         )
     if raw < 0.0:
         log.debug("raw frechet distance %.6e floored to 0", raw)
-        return 0.0
-    return raw
+    return max(raw, 0.0), w, v
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,16 +1,17 @@
 """Desk-scale post-training loop: distance-as-loss on a small MLP generator.
 
-Each step runs the chain
+Each step generates one batch from noise z and makes one pass per map,
 
-    z -> generate -> featurize (per map) -> population stats (queue or EMA)
-      -> distance per map -> normalized ensemble loss
-      -> manual backprop of the same chain -> AdamW step -> estimator commit
+    featurize -> population stats (queue or EMA) -> distance and gradient
+      -> scale w / (sg(distance) + c) -> manual backprop to the samples,
 
-so the statistics that enter the loss aggregate far more samples than one
-batch while gradients flow only through the live batch. Before step 0 one
-large-sample evaluation of the starting model warm-starts the estimators,
-making the first distance estimate meaningful, and is logged as the step-0
-record that convergence is measured against.
+then checks the ensemble loss, backprops through the generator, takes an
+AdamW step and commits each estimator. The estimators let the statistics
+that enter the loss aggregate far more samples than one batch while
+gradients flow only through the live batch. Before step 0 one large-sample
+evaluation of the starting model warm-starts the estimators, making the
+first distance estimate meaningful, and is logged as the step-0 record
+that convergence is measured against.
 
 All randomness flows through named SplitMix64 streams derived from the run
 seed (noise, warm start) or the target's sample seed (reference draws), so
@@ -42,6 +43,7 @@ from .representations import (
     ensemble_loss,
     featurize,
     featurize_backprop,
+    normalized_term,
 )
 from .rng import SplitMix64, derive_seed
 from .symlin import check_symmetric, eig_sym, psd_root
@@ -137,19 +139,14 @@ def _forward(model: GeneratorModel, z: np.ndarray, buffers: list) -> list[np.nda
     return acts
 
 
-def _check_z(model: GeneratorModel, z: np.ndarray) -> np.ndarray:
+def generate(model: GeneratorModel, z: np.ndarray) -> np.ndarray:
+    """Generator samples for the noise rows z, computed BLOCK_ROWS rows at a
+    time by generate_blocks, so only the n x out_dim output grows with n."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != model.z_dim:
         raise DataError(f"z must be B x {model.z_dim}, got {z.shape}")
     if not np.isfinite(z).all():
         raise NonFiniteDataError("z contains non-finite entries")
-    return z
-
-
-def generate(model: GeneratorModel, z: np.ndarray) -> np.ndarray:
-    """Generator samples for the noise rows z, computed BLOCK_ROWS rows at a
-    time by generate_blocks, so only the n x out_dim output grows with n."""
-    z = _check_z(model, z)
     out = np.empty((z.shape[0], model.out_dim))
     for dest, block in zip(row_blocks(out), generate_blocks(model, row_blocks(z))):
         dest[:] = block
@@ -502,6 +499,10 @@ def post_train(
     samples, each representation's feature moments, the loss and the new
     parameters are finite, else raises NonFiniteLossError.
 
+    A step makes one pass per representation, featurize to
+    featurize_backprop, scaled by normalized_term of its own distance. The
+    ensemble_loss is checked before the update; the estimators commit after.
+
     The log holds one warm_start record (_evaluate of the starting model,
     the step-0 distance), one train record per step with the
     estimator-based distances that produced the loss, and — when any steps
@@ -533,7 +534,8 @@ def post_train(
 
     fit = _Fit(model, config.batch_size, config.beta1, config.beta2, config.weight_decay)
     noise = SplitMix64(derive_seed("train-noise", config.seed))
-    reps = list(zip(config.ensemble.specs, refs, log.labels))
+    ensemble = config.ensemble
+    reps = list(zip(ensemble.specs, refs, ensemble.weights, log.labels, states))
     for step in range(config.total_steps):
         lr = lr_at(step, config)
         z = noise.normal_matrix(config.batch_size, config.z_dim)
@@ -543,8 +545,9 @@ def post_train(
         # before the bounded normalized loss itself goes NaN
         if not np.isfinite(x).all():
             raise NonFiniteLossError(step, "samples", last_good_model=fit.model)
-        fds, grads, stats, feats = [], [], [], []
-        for (spec, ref, label), state in zip(reps, states):
+        sample_grads = np.zeros_like(x)
+        fds, commits = [], []
+        for spec, ref, weight, label, state in reps:
             f = featurize(spec, x)
             s = estimate(state, f)
             # the covariance is finite only if the features and their
@@ -552,27 +555,20 @@ def post_train(
             if not np.isfinite(s.sigma).all():
                 raise NonFiniteLossError(step, "features", label, fit.model)
             value, grad = fd_with_grad(ref, s)
-            feats.append(f)
-            stats.append(s)
-            fds.append(value)
-            grads.append(grad)
-        loss, scales = ensemble_loss(config.ensemble, fds)
-        if not math.isfinite(loss):
-            bad = (label for (_, _, label), v in zip(reps, fds) if not math.isfinite(v))
-            raise NonFiniteLossError(step, "loss", next(bad, None), fit.model)
-
-        sample_grads = np.zeros_like(x)
-        for i, (spec, _, _) in enumerate(reps):
+            # stop-gradient normalizer: a map's scale needs only its own FD
+            scale = weight * normalized_term(value, ensemble.c)[1]
             feat_grads = backprop_estimate(
-                states[i],
-                feats[i],
-                stats[i].mu,
-                scales[i] * grads[i].d_mu,
-                scales[i] * grads[i].d_sigma,
+                state, f, s.mu, scale * grad.d_mu, scale * grad.d_sigma
             )
-            sample_grads += featurize_backprop(spec, x, feats[i], feat_grads)
+            sample_grads += featurize_backprop(spec, x, f, feat_grads)
+            fds.append(value)
+            commits.append((state, f, s))
+        loss, _ = ensemble_loss(ensemble, fds)
+        if not math.isfinite(loss):
+            bad = (label for label, v in zip(log.labels, fds) if not math.isfinite(v))
+            raise NonFiniteLossError(step, "loss", next(bad, None), fit.model)
         fit.update(acts, sample_grads, lr, step)
-        for state, f, s in zip(states, feats, stats):
+        for state, f, s in commits:
             state.commit(f, s)
         log.records.append(TrainRecord("train", step, lr, loss, tuple(fds)))
     model = fit.model

@@ -742,3 +742,21 @@ class TestReport:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "rep0_identity first=4 last=2.75 best=2.5 step=1"
         assert lines[1] == "rep1_affine first=1 last=0.3 best=0.2 step=2"
+
+    @pytest.mark.parametrize(
+        "header, row, line",
+        [
+            ("phase,step,lr,loss,fd_a,grad_norm", "train,0,0.1,0.5,1.0,2.0", 1),
+            ("phase,step,lr,loss", "train,0,0.1,0.5", 1),
+            ("phase,step,lr,loss,fd_a", "bogus,0,0.1,0.5,1.0", 2),
+            ("phase,step,lr,loss,fd_a", "train,-5,0.1,0.5,1.0", 2),
+        ],
+        ids=["non_fd_column", "no_fd_column", "bogus_phase", "negative_step"],
+    )
+    def test_log_fdopt_never_writes_is_exit_2(self, tmp_path, capsys, header, row, line):
+        log = tmp_path / "log.csv"
+        log.write_text(f"{header}\n{row}\n", encoding="utf-8")
+        assert cli_dispatch(["report", "--log", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{log}: line {line}: " in captured.err

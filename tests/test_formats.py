@@ -489,7 +489,17 @@ class TestMetricsLog:
             read_metrics_log(path)
 
     @pytest.mark.parametrize(
-        "lead, cell, line", [("", "abc", 3), ("", "", 3), ("", "1.5x", 3), ("\n\n", "abc", 5)]
+        "lead, cell, line",
+        [
+            ("", "abc", 3),
+            ("", "", 3),
+            ("", "1.5x", 3),
+            ("\n\n", "abc", 5),
+            # fdopt writes finite cells only
+            ("", "nan", 3),
+            ("", "inf", 3),
+            ("", "-inf", 3),
+        ],
     )
     def test_read_names_line_of_non_numeric_cell(self, tmp_path, lead, cell, line):
         path = str(tmp_path / "log.csv")

@@ -542,11 +542,27 @@ class TestPostTrain:
         assert err.last_good_model is not None
         assert np.isfinite(err.last_good_model.theta).all()
 
-    @pytest.mark.parametrize("estimator", ["ema", "queue"])
-    def test_matches_reference_loop_of_public_functions(self, estimator, monkeypatch):
+    @pytest.mark.parametrize(
+        "estimator, weights",
+        [
+            pytest.param("ema", None, id="ema"),
+            pytest.param("queue", None, id="queue"),
+            # unequal weights over three maps pin each map's own loss weight
+            pytest.param("ema", (0.5, 2.0, 1.0), id="ema-weighted"),
+            pytest.param("queue", (0.5, 2.0, 1.0), id="queue-weighted"),
+        ],
+    )
+    def test_matches_reference_loop_of_public_functions(
+        self, estimator, weights, monkeypatch
+    ):
         import fdopt.trainer as trainer_module
 
-        cfg = self.small_config(estimator=estimator, queue_capacity=32, total_steps=6)
+        kw = dict(estimator=estimator, queue_capacity=32, total_steps=6)
+        if weights is not None:
+            specs = self.small_config().ensemble.specs
+            specs += (RepresentationSpec("quadratic", 0, 2, 5),)
+            kw["ensemble"] = RepresentationEnsemble(specs=specs, weights=weights)
+        cfg = self.small_config(**kw)
         want_model, want_rows = reference_post_train(cfg)
 
         counts = dict.fromkeys(
