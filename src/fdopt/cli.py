@@ -4,11 +4,14 @@ Exit codes: 0 success; 1 usage error (bad flags, unknown subcommand);
 2 data or format error (missing files, bad magic, truncation, config
 typos, shape mismatches, non-finite inputs, and text inputs that do not
 parse: a config or metrics log that is not UTF-8, a log cell that is not
-a finite number); 3 numerical failure (non-finite loss, eigensolver
-non-convergence, report write failure). Each input is checked once, by
-its reader; `sample` and `train --init` run GeneratorModel(*read_checkpoint).
-A `train` run that goes non-finite writes no checkpoint at --out; it
-writes the last model with all parameters finite to <out>.last_good.
+a finite number, a log label that repeats or a row out of phase order);
+3 numerical failure (non-finite loss, eigensolver non-convergence, report
+write failure). Each input is checked once, by its reader; `sample` and
+`train --init` run GeneratorModel(*read_checkpoint).
+A `train` step that fails (non-finite values or an eigensolver failure)
+is named by its step and representation; the run writes no checkpoint at
+--out, writes the last model with all parameters finite to
+<out>.last_good and, with --log, the log rows of the steps before it.
 
 Every run is single-threaded and deterministic given identical inputs:
 rerunning a command with the same seeds produces byte-identical outputs.
@@ -27,8 +30,8 @@ from .config import load_config
 from .errors import (
     DataError,
     FdoptError,
-    NonFiniteLossError,
     NumericalError,
+    StepError,
     UsageError,
 )
 from .formats import (
@@ -132,11 +135,13 @@ def _cmd_train(args) -> int:
     initial = None if args.init is None else GeneratorModel(*read_checkpoint(args.init))
     try:
         model, log = post_train(loaded.train, initial_model=initial)
-    except NonFiniteLossError as err:
-        # keep the last model whose parameters were all finite, for recovery
-        if err.last_good_model is not None:
-            good = err.last_good_model
-            write_checkpoint(f"{args.out}.last_good", good.weights, good.biases)
+    except StepError as err:
+        # keep the last model whose parameters were all finite, and the log
+        # of the steps before the failed one, for recovery
+        good = err.last_good_model
+        write_checkpoint(f"{args.out}.last_good", good.weights, good.biases)
+        if args.log is not None:
+            write_metrics_log(args.log, err.log.labels, err.log.rows())
         raise
     write_checkpoint(args.out, model.weights, model.biases)
     if args.log is not None:
@@ -184,6 +189,14 @@ def _cmd_report(args) -> int:
     labels, rows = read_metrics_log(args.log)
     if not rows:
         raise DataError(f"{args.log}: metrics log has no rows")
+    # rows are in phase order, so the last one is the final row if any
+    phase, step = rows[-1][:2]
+    if phase != "final":
+        print(
+            f"note: {args.log} has no final row; last= is the {phase} row "
+            f"at step {step}",
+            file=sys.stderr,
+        )
     for i, label in enumerate(labels):
         values = [row[4 + i] for row in rows]
         best = min(range(len(values)), key=values.__getitem__)

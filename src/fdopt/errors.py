@@ -37,17 +37,30 @@ class NumericalError(FdoptError):
     """Numerical failure: eigensolver failure, non-finite loss."""
 
 
-class NonFiniteLossError(NumericalError):
-    """Training went non-finite: carries the step, the quantity (samples,
-    features, loss or parameters), the representation label when one
-    applies, and the last model whose parameters were all finite."""
+class StepError(NumericalError):
+    """A training step failed numerically: carries the step, the
+    representation label when one applies, the last model whose parameters
+    were all finite, and the metrics log of the steps before it."""
+
+    def __init__(
+        self, message: str, step: int, label=None, last_good_model=None, log=None
+    ):
+        self.step = step
+        self.label = label
+        self.last_good_model = last_good_model
+        self.log = log
+        super().__init__(message)
+
+
+class NonFiniteLossError(StepError):
+    """Training went non-finite: also names the quantity (samples,
+    features, loss or parameters)."""
 
     def __init__(
         self, step: int, quantity: str = "loss", label=None, last_good_model=None
     ):
-        self.step = step
         self.quantity = quantity
-        self.label = label
-        self.last_good_model = last_good_model
         where = f" in {label}" if label is not None else ""
-        super().__init__(f"non-finite {quantity} at step {step}{where}")
+        super().__init__(
+            f"non-finite {quantity} at step {step}{where}", step, label, last_good_model
+        )

@@ -333,8 +333,11 @@ def write_metrics_log(path: str, labels, rows) -> None:
 
 def read_metrics_log(path: str):
     """Returns (labels, rows) mirroring metrics_log_text input, which holds
-    only fd_<label> columns, the phases warm_start, train and final, steps
-    >= 0 and finite numbers; anything else is a DataError naming its line."""
+    only fd_<label> columns with distinct labels, the phases warm_start,
+    train and final, steps >= 0 and finite numbers, and rows in the order
+    fdopt writes them: one warm_start row, train rows at steps 0, 1, 2 ...
+    in turn, then at most one final row. Anything else is a DataError
+    naming its line."""
     text = read_text(path)
     lines = text.strip().split("\n")
     header_line = text.count("\n", 0, len(text) - len(text.lstrip())) + 1
@@ -343,7 +346,9 @@ def read_metrics_log(path: str):
     if not all(labels) or metrics_log_text(labels, []) != lines[0] + "\n":
         want = "phase,step,lr,loss then fd_<label> columns"
         raise DataError(f"{path}: line {header_line}: {lines[0]!r} is not {want}")
-    rows = []
+    if len(set(labels)) != len(labels):
+        raise DataError(f"{path}: line {header_line}: repeated label in {lines[0]!r}")
+    parsed = []
     for lineno, line in enumerate(lines[1:], start=header_line + 1):
         cells = line.split(",")
         try:
@@ -354,5 +359,16 @@ def read_metrics_log(path: str):
             raise DataError(f"{path}: line {lineno}: malformed log row {line!r}")
         if row[0] not in ("warm_start", "train", "final") or row[1] < 0:
             raise DataError(f"{path}: line {lineno}: bad phase or step {line!r}")
-        rows.append(row)
-    return labels, rows
+        parsed.append((lineno, line, row))
+    previous = None
+    for i, (lineno, line, (phase, step, *_)) in enumerate(parsed):
+        if phase == "warm_start":
+            in_order = previous is None
+        else:
+            in_order = previous in ("warm_start", "train") and (
+                phase == "final" or step == i - 1
+            )
+        if not in_order:
+            raise DataError(f"{path}: line {lineno}: row out of phase order {line!r}")
+        previous = phase
+    return labels, [row for _, _, row in parsed]

@@ -238,7 +238,14 @@ class FdGradient:
 def fd_with_grad(ref: ReferenceStats, gen: GaussianStats):
     """fd value and closed-form gradient from a single eigendecomposition:
     d_mu = 2 (mu_g - mu_r), d_sigma = I - R C^{-1/2} R with C = R sigma_g R
-    and its spectrum floored at 1e-10 Tr(sigma_r) / d."""
+    and its spectrum floored at 1e-10 Tr(sigma_r) / d.
+
+    On exactly null directions of C (a batch of fewer rows than d), d_sigma
+    is large, yet the sample gradient it backpropagates to equals that of
+    the pseudo-inverse root on C's range, to rounding: the centred rows lie
+    in the range of sigma_g, so the floored directions enter only through
+    rounding. For an eigenvalue within a few orders of the floor, the
+    gradient depends on the floor, which is a chosen constant."""
     floor = 1e-10 * max(ref.trace, 0.0) / ref.dim
     value, w, v = _value(ref, gen)
     degenerate = bool(w.min() < floor)

@@ -25,7 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NonFiniteDataError, NonFiniteLossError
+from .errors import (
+    ConfigError,
+    DataError,
+    NonFiniteDataError,
+    NonFiniteLossError,
+    NumericalError,
+    StepError,
+)
 from .estimators import EmaState, QueueState, backprop_estimate, estimate
 from .formats import read_feature_blocks, read_features
 from .frechet import (
@@ -497,7 +504,9 @@ def post_train(
 
     Inputs are checked before the loop; each step checks only that its
     samples, each representation's feature moments, the loss and the new
-    parameters are finite, else raises NonFiniteLossError.
+    parameters are finite, else raises NonFiniteLossError. That error, and
+    an eigensolver failure wrapped as one naming the step and the map, is
+    a StepError carrying the last good model and the log so far.
 
     A step makes one pass per representation, featurize to
     featurize_backprop, scaled by normalized_term of its own distance. The
@@ -536,41 +545,54 @@ def post_train(
     noise = SplitMix64(derive_seed("train-noise", config.seed))
     ensemble = config.ensemble
     reps = list(zip(ensemble.specs, refs, ensemble.weights, log.labels, states))
-    for step in range(config.total_steps):
-        lr = lr_at(step, config)
-        z = noise.normal_matrix(config.batch_size, config.z_dim)
-        acts = _forward(fit.model, z, fit.buffers)
-        x = acts[-1]
-        # divergence surfaces first as non-finite samples or feature moments,
-        # before the bounded normalized loss itself goes NaN
-        if not np.isfinite(x).all():
-            raise NonFiniteLossError(step, "samples", last_good_model=fit.model)
-        sample_grads = np.zeros_like(x)
-        fds, commits = [], []
-        for spec, ref, weight, label, state in reps:
-            f = featurize(spec, x)
-            s = estimate(state, f)
-            # the covariance is finite only if the features and their
-            # squares are, so one scan covers the batch and its moments
-            if not np.isfinite(s.sigma).all():
-                raise NonFiniteLossError(step, "features", label, fit.model)
-            value, grad = fd_with_grad(ref, s)
-            # stop-gradient normalizer: a map's scale needs only its own FD
-            scale = weight * normalized_term(value, ensemble.c)[1]
-            feat_grads = backprop_estimate(
-                state, f, s.mu, scale * grad.d_mu, scale * grad.d_sigma
-            )
-            sample_grads += featurize_backprop(spec, x, f, feat_grads)
-            fds.append(value)
-            commits.append((state, f, s))
-        loss, _ = ensemble_loss(ensemble, fds)
-        if not math.isfinite(loss):
-            bad = (label for label, v in zip(log.labels, fds) if not math.isfinite(v))
-            raise NonFiniteLossError(step, "loss", next(bad, None), fit.model)
-        fit.update(acts, sample_grads, lr, step)
-        for state, f, s in commits:
-            state.commit(f, s)
-        log.records.append(TrainRecord("train", step, lr, loss, tuple(fds)))
+    # a failed step leaves as one StepError naming the step and the map,
+    # with the last good model and the log so far; NumPy's warnings ahead
+    # of a divergence are silenced, since the step's own checks name it
+    try:
+        with np.errstate(all="ignore"):
+            for step in range(config.total_steps):
+                lr = lr_at(step, config)
+                z = noise.normal_matrix(config.batch_size, config.z_dim)
+                acts = _forward(fit.model, z, fit.buffers)
+                x = acts[-1]
+                # divergence surfaces first as non-finite samples or feature
+                # moments, before the bounded normalized loss itself goes NaN
+                if not np.isfinite(x).all():
+                    raise NonFiniteLossError(step, "samples", None, fit.model)
+                sample_grads = np.zeros_like(x)
+                fds, commits = [], []
+                for spec, ref, weight, label, state in reps:
+                    f = featurize(spec, x)
+                    s = estimate(state, f)
+                    # the covariance is finite only if the features and their
+                    # squares are, so one scan covers the batch and its moments
+                    if not np.isfinite(s.sigma).all():
+                        raise NonFiniteLossError(step, "features", label, fit.model)
+                    value, grad = fd_with_grad(ref, s)
+                    # stop-gradient normalizer: a map's scale needs only its
+                    # own FD
+                    scale = weight * normalized_term(value, ensemble.c)[1]
+                    feat_grads = backprop_estimate(
+                        state, f, s.mu, scale * grad.d_mu, scale * grad.d_sigma
+                    )
+                    sample_grads += featurize_backprop(spec, x, f, feat_grads)
+                    fds.append(value)
+                    commits.append((state, f, s))
+                loss, _ = ensemble_loss(ensemble, fds)
+                if not math.isfinite(loss):
+                    bad = (name for name, v in zip(log.labels, fds) if not math.isfinite(v))
+                    raise NonFiniteLossError(step, "loss", next(bad, None), fit.model)
+                fit.update(acts, sample_grads, lr, step)
+                for state, f, s in commits:
+                    state.commit(f, s)
+                log.records.append(TrainRecord("train", step, lr, loss, tuple(fds)))
+    except NonFiniteLossError as err:
+        err.log = log
+        raise
+    except NumericalError as err:
+        # an eigensolver failure, in fd_with_grad of the map `label`
+        message = f"step {step}, {label}: {err}"
+        raise StepError(message, step, label, fit.model, log) from err
     model = fit.model
 
     if config.total_steps > 0:

@@ -5,12 +5,15 @@ Denman-Beavers iteration on top of numpy's LU-based inverse, eigenvalues from
 LAPACK, statistics from numpy reductions, and derivatives from central finite
 differences. They must stay independent of the code paths they check.
 The helpers at the end serve only tests: readers (a report CSV, a queue's
-rows) and checked matrix entries to package kernels (sqrt_psd,
+rows), checked matrix entries to package kernels (sqrt_psd,
 stats_from_features), which the program itself calls on inputs checked
-where they enter.
+where they enter, and a loader for the scripts under scripts/.
 """
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -53,6 +56,19 @@ def frechet_oracle(mu_r, sigma_r, mu_g, sigma_g) -> float:
         + np.trace(sigma_g)
         - 2.0 * np.trace(cross)
     )
+
+
+def pinv_fd_gradient(ref, gen):
+    """FD's (d_mu, d_sigma) at a reference's root R, mean and trace, with
+    the inverse root of C = R sigma_g R taken on C's range: LAPACK
+    eigenpairs at or above the trainer's floor 1e-10 Tr(sigma_r) / d kept,
+    the rest dropped, so null directions of C contribute nothing."""
+    root, d = ref.sigma_root, ref.dim
+    c = root @ gen.sigma @ root
+    w, v = np.linalg.eigh(0.5 * (c + c.T))
+    keep = w >= 1e-10 * ref.trace / d
+    inv_root = (v[:, keep] / np.sqrt(w[keep])) @ v[:, keep].T
+    return 2.0 * (gen.mu - ref.stats.mu), np.eye(d) - root @ inv_root @ root
 
 
 def population_stats_oracle(rows: np.ndarray):
@@ -201,3 +217,12 @@ def stats_from_features(features: np.ndarray) -> GaussianStats:
     """The package's blocked Moments of a checked n x d matrix: its column
     mean and population covariance (divisor n)."""
     return Moments(row_blocks(check_rows(features, "features"))).stats()
+
+
+def load_script(name: str):
+    """scripts/<name>.py, loaded by path as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -458,8 +458,7 @@ def test_fdr_protocol(criterion):
 # formats and CLI determinism
 
 
-def test_format_and_cli_determinism(criterion, tmp_path):
-    from fdopt.cli import cli_dispatch
+def test_format_and_cli_determinism(criterion, tmp_path, pipeline, pipeline_rerun):
     from fdopt.formats import (
         read_checkpoint,
         read_features,
@@ -488,75 +487,9 @@ def test_format_and_cli_determinism(criterion, tmp_path):
         assert dims == model.layer_dims
         assert theta.tobytes() == model.theta.tobytes()
 
-        # trimmed copy of the bundled config: determinism is independent of
-        # the step budget, so keep the double pipeline run quick
-        text = (CONFIGS / "mixture.cfg").read_text(encoding="utf-8")
-        text = text.replace("total_steps = 5000", "total_steps = 60")
-        text = text.replace("warmup_steps = 250", "warmup_steps = 6")
-        text = text.replace("pretrain_steps = 1500", "pretrain_steps = 40")
-        cfg = tmp_path / "quick.cfg"
-        cfg.write_text(text, encoding="utf-8")
-
-        target = load_config(str(cfg)).train.target
-        write_features(
-            str(tmp_path / "train.bin"), sample_target(target, 2048, "pipe-train")
-        )
-        write_features(
-            str(tmp_path / "val.bin"), sample_target(target, 1024, "pipe-val")
-        )
-
-        def run(out_dir: Path):
-            out_dir.mkdir()
-            paths = {
-                "pre": out_dir / "pre.ckpt",
-                "post": out_dir / "post.ckpt",
-                "log": out_dir / "log.csv",
-                "gen": out_dir / "gen.bin",
-                "report": out_dir / "report.csv",
-            }
-            steps = [
-                ["pretrain", "--config", str(cfg), "--out", str(paths["pre"])],
-                [
-                    "train",
-                    "--config",
-                    str(cfg),
-                    "--init",
-                    str(paths["pre"]),
-                    "--out",
-                    str(paths["post"]),
-                    "--log",
-                    str(paths["log"]),
-                ],
-                [
-                    "sample",
-                    "--ckpt",
-                    str(paths["post"]),
-                    "--n",
-                    "1024",
-                    "--seed",
-                    "3",
-                    "--out",
-                    str(paths["gen"]),
-                ],
-                [
-                    "fdr",
-                    "--train",
-                    str(tmp_path / "train.bin"),
-                    "--val",
-                    str(tmp_path / "val.bin"),
-                    "--gen",
-                    str(paths["gen"]),
-                    "--config",
-                    str(cfg),
-                    "--out",
-                    str(paths["report"]),
-                ],
-            ]
-            for argv in steps:
-                assert cli_dispatch(argv) == 0, argv
-            return paths
-
-        first = run(tmp_path / "a")
-        second = run(tmp_path / "b")
+        # scripts/output_digests.py's pipeline, built twice: every artifact
+        # and captured stdout is byte-identical
+        (_, first), (second, _) = pipeline, pipeline_rerun
+        assert sorted(first) == sorted(second)
         for key in first:
-            assert first[key].read_bytes() == second[key].read_bytes(), key
+            assert first[key] == second[key], key

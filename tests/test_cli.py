@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, printed values, and byte determinism."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from fdopt import formats, frechet
 from fdopt.cli import cli_dispatch
 from fdopt.config import load_config
 from fdopt.formats import (
+    format_sig9,
     read_checkpoint,
     read_features,
     read_metrics_log,
@@ -34,8 +36,9 @@ from fdopt.trainer import (
     pretrain_regression,
     sample_target,
 )
-from oracles import parse_report_csv, stats_from_features
+from oracles import load_script, parse_report_csv, stats_from_features
 
+ROOT = Path(__file__).resolve().parents[1]
 CONFIG_TEXT = textwrap.dedent(
     """\
     [trainer]
@@ -493,61 +496,19 @@ class TestComputeStatsAndFd:
         assert "exactly one representation" in capsys.readouterr().err
 
 
-def run_pipeline(workspace, out_dir, seed_args=()):
-    """pretrain -> train --init -> sample -> fdr, returning output paths."""
-    out_dir.mkdir(exist_ok=True)
-    cfg = path(workspace, "run.cfg")
-    pre = str(out_dir / "pre.ckpt")
-    post = str(out_dir / "post.ckpt")
-    log = str(out_dir / "log.csv")
-    gen = str(out_dir / "gen.bin")
-    report = str(out_dir / "report.csv")
-    assert cli_dispatch(["pretrain", "--config", cfg, "--out", pre]) == 0
-    assert (
-        cli_dispatch(
-            ["train", "--config", cfg, "--out", post, "--log", log, "--init", pre]
-        )
-        == 0
-    )
-    assert (
-        cli_dispatch(
-            ["sample", "--ckpt", post, "--n", "512", "--seed", "3", "--out", gen]
-        )
-        == 0
-    )
-    assert (
-        cli_dispatch(
-            [
-                "fdr",
-                "--train",
-                path(workspace, "train.bin"),
-                "--val",
-                path(workspace, "val.bin"),
-                "--gen",
-                gen,
-                "--config",
-                cfg,
-                "--out",
-                report,
-            ]
-        )
-        == 0
-    )
-    return {"pre": pre, "post": post, "log": log, "gen": gen, "report": report}
-
-
 class TestPipeline:
-    def test_full_pipeline_deterministic_bytes(self, workspace):
-        first = run_pipeline(workspace, workspace / "a")
-        second = run_pipeline(workspace, workspace / "b")
-        for key in first:
-            with open(first[key], "rb") as fa, open(second[key], "rb") as fb:
-                assert fa.read() == fb.read(), f"{key} differs between runs"
+    """The read-only cases read scripts/output_digests.py's pipeline run."""
 
-    def test_report_csv_matches_library_recomputation(self, workspace, tmp_path):
-        outputs = run_pipeline(workspace, workspace / "a")
-        ensemble = load_config(path(workspace, "run.cfg")).ensemble
-        train_rows = read_features(path(workspace, "train.bin"))
+    def test_full_pipeline_deterministic_bytes(self, pipeline, pipeline_rerun):
+        (_, first), (second, _) = pipeline, pipeline_rerun
+        assert sorted(first) == sorted(second)
+        for key in first:
+            assert first[key] == second[key], f"{key} differs between runs"
+
+    def test_report_csv_matches_library_recomputation(self, pipeline, tmp_path):
+        work, outputs = pipeline
+        ensemble = load_config(work / "mixture.cfg").ensemble
+        train_rows = read_features(str(work / "target.bin"))
         stats = [
             stats_from_features(featurize(spec, train_rows))
             for spec in ensemble.specs
@@ -555,47 +516,31 @@ class TestPipeline:
         want = build_report(
             ensemble,
             stats,
-            read_features(path(workspace, "val.bin")),
-            read_features(outputs["gen"]),
+            read_features(str(work / "val.bin")),
+            read_features(str(work / "gen_131072.bin")),
         )
         recomputed = tmp_path / "recomputed.csv"
         write_report_csv(want, str(recomputed))
-        with open(outputs["report"], "rb") as got, open(recomputed, "rb") as exp:
-            assert got.read() == exp.read()
-        with open(outputs["report"], "r", encoding="ascii") as handle:
-            _, fdr_k = parse_report_csv(handle.read())
-        assert fdr_k == pytest.approx(want.fdr_k, rel=1e-9)
+        assert outputs["report.csv"] == recomputed.read_bytes()
+        # the CSV holds 9 significant digits
+        _, fdr_k = parse_report_csv(outputs["report.csv"].decode("ascii"))
+        assert fdr_k == float(format_sig9(want.fdr_k))
 
-    def test_fdr_accepts_per_rep_stats_files(self, workspace):
-        outputs = run_pipeline(workspace, workspace / "a")
-        ensemble = load_config(path(workspace, "run.cfg")).ensemble
-        train_rows = read_features(path(workspace, "train.bin"))
+    def test_fdr_accepts_per_rep_stats_files(self, pipeline, tmp_path):
+        work, outputs = pipeline
+        ensemble = load_config(work / "mixture.cfg").ensemble
+        train_rows = read_features(str(work / "target.bin"))
         stats_paths = []
         for i, spec in enumerate(ensemble.specs):
-            stats_path = path(workspace, f"rep{i}.stats")
+            stats_path = path(tmp_path, f"rep{i}.stats")
             write_stats(stats_path, stats_from_features(featurize(spec, train_rows)))
             stats_paths.append(stats_path)
-        report2 = path(workspace, "report2.csv")
-        assert (
-            cli_dispatch(
-                [
-                    "fdr",
-                    "--train",
-                    *stats_paths,
-                    "--val",
-                    path(workspace, "val.bin"),
-                    "--gen",
-                    outputs["gen"],
-                    "--config",
-                    path(workspace, "run.cfg"),
-                    "--out",
-                    report2,
-                ]
-            )
-            == 0
-        )
-        with open(outputs["report"], "rb") as fa, open(report2, "rb") as fb:
-            assert fa.read() == fb.read()
+        report2 = tmp_path / "report2.csv"
+        argv = ["fdr", "--train", *stats_paths, "--val", work / "val.bin",
+                "--gen", work / "gen_131072.bin", "--config", work / "mixture.cfg",
+                "--out", report2]
+        assert cli_dispatch(map(str, argv)) == 0
+        assert outputs["report.csv"] == report2.read_bytes()
 
     def test_train_init_dim_mismatch_is_exit_2(self, workspace, capsys):
         wrong = path(workspace, "wrong.ckpt")
@@ -616,29 +561,53 @@ class TestPipeline:
         assert code == 2
         assert "do not match" in capsys.readouterr().err
 
-    def test_train_log_has_expected_shape(self, workspace):
-        outputs = run_pipeline(workspace, workspace / "a")
-        labels, rows = read_metrics_log(outputs["log"])
+    def test_train_log_has_expected_shape(self, pipeline):
+        work, _ = pipeline
+        labels, rows = read_metrics_log(work / "post.csv")
         assert labels == ["rep0_identity", "rep1_tanh_rf"]
         assert rows[0][0] == "warm_start" and rows[-1][0] == "final"
-        assert sum(1 for r in rows if r[0] == "train") == 25
+        assert sum(1 for r in rows if r[0] == "train") == 300
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergent_training_is_exit_3(self, workspace, capsys):
-        hot = workspace / "hot.cfg"
-        hot.write_text(
-            CONFIG_TEXT.replace("peak_lr = 0.001", "peak_lr = 1e200"),
-            encoding="utf-8",
-        )
-        code = cli_dispatch(
-            ["train", "--config", str(hot), "--out", path(workspace, "m.ckpt")]
-        )
-        assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
-        # the last finite model is kept for recovery; no checkpoint at --out
-        assert not (workspace / "m.ckpt").exists()
-        _, theta = read_checkpoint(path(workspace, "m.ckpt.last_good"))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "failure, message, step",
+        [
+            ("eigh", "step 96, rep1_tanh_rf: eigendecomposition of congruence", 96),
+            ("peak_lr", "non-finite features at step 2 in rep0_identity", 2),
+        ],
+        ids=["lapack", "divergence"],
+    )
+    def test_failed_step_keeps_last_good_model_and_log(
+        self, tmp_path, monkeypatch, capsys, failure, message, step
+    ):
+        shipped = ROOT / "configs" / "decoupling.cfg"
+        text = load_script("output_digests").cut(shipped.read_text(encoding="utf-8"))
+        if failure == "eigh":
+            calls, eigh = [], np.linalg.eigh
+
+            def failing_eigh(a):
+                calls.append(a)
+                if len(calls) == 200:
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                return eigh(a)
+
+            monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        else:
+            text = text.replace("peak_lr = 0.0003", "peak_lr = 1e307")
+        config, out, log = (tmp_path / n for n in ("run.cfg", "m.ckpt", "log.csv"))
+        config.write_text(text, encoding="utf-8")
+        argv = ["train", "--config", config, "--out", out, "--log", log]
+        assert cli_dispatch(map(str, argv)) == 3
+        assert f"numerical failure: {message}" in capsys.readouterr().err
+        assert not out.exists()
+        _, theta = read_checkpoint(f"{out}.last_good")
         assert np.isfinite(theta).all()
+        _, rows = read_metrics_log(str(log))
+        assert [row[:2] for row in rows] == [("warm_start", 0)] + [
+            ("train", i) for i in range(step)
+        ]
+        assert cli_dispatch(["report", "--log", str(log)]) == 0
+        assert "has no final row" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "setting, field",
@@ -664,6 +633,48 @@ class TestPipeline:
         assert not (workspace / "m.ckpt.last_good").exists()
 
 
+class TestScripts:
+    def test_output_digests_prints_one_sha256_per_artifact(
+        self, pipeline, pipeline_rerun
+    ):
+        _, artifacts = pipeline
+        _, printed = pipeline_rerun
+        want = [f"{name} {hashlib.sha256(data).hexdigest()}"
+                for name, data in sorted(artifacts.items())]
+        assert printed.splitlines() == want
+
+    def test_output_digests_exits_with_the_failing_command_code(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        digests = load_script("output_digests")
+        monkeypatch.setattr(digests, "cli_dispatch", lambda argv: 3)
+        assert digests.main(["--keep", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        command = f"fdopt train --config {tmp_path / 'dec_ema.cfg'}"
+        assert captured.err.splitlines()[0].startswith(f"+ {command} ")
+        last = captured.err.splitlines()[-1]
+        assert last.startswith(command) and last.endswith(" exited 3")
+
+    def test_population_ablation_prints_one_line_per_arm(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        ablation = load_script("population_ablation")
+        shipped = ROOT / "configs" / "decoupling.cfg"
+        config = tmp_path / "decoupling.cfg"
+        config.write_text(
+            load_script("output_digests").cut(shipped.read_text(encoding="utf-8"), 20),
+            encoding="utf-8",
+        )
+        argv = ["population_ablation.py", "--config", str(config), "--seeds", "1"]
+        monkeypatch.setattr(sys, "argv", argv)
+        ablation.main()
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("task: B=4, 20 steps")
+        names = [name for name, _ in ablation.arms(4)]
+        assert [line.split(" median ")[0].rstrip() for line in lines[1:]] == names
+
+
 QUEUE_64D_CONFIG = (
     CONFIG_TEXT.replace("total_steps = 25", "total_steps = 6")
     .replace("kind = ema\nbeta = 0.9", "kind = queue\ncapacity = 128")
@@ -671,14 +682,13 @@ QUEUE_64D_CONFIG = (
 )
 
 
-def fdopt_process(threads: str, *argv) -> bytes:
-    """Stdout of fdopt run in a new process with threads OpenBLAS threads."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
+def python_process(threads: str, *argv) -> bytes:
+    """Stdout of python3 argv in a new process with threads OpenBLAS threads."""
+    src = str(ROOT / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "fdopt.cli", *map(str, argv)],
-        env=env, check=True, capture_output=True,
+        [sys.executable, *map(str, argv)], env=env, check=True, capture_output=True
     ).stdout
 
 
@@ -689,43 +699,20 @@ def test_training_bytes_do_not_depend_on_blas_threads(tmp_path):
     outputs = []
     for threads in ("1", "2"):
         ckpt, log = tmp_path / f"m{threads}.ckpt", tmp_path / f"log{threads}.csv"
-        fdopt_process(threads, "train", "--config", config, "--out", ckpt, "--log", log)
+        python_process(
+            threads, "-m", "fdopt.cli", "train", "--config", config, "--out", ckpt,
+            "--log", log,
+        )
         outputs.append((ckpt.read_bytes(), log.read_bytes()))
     assert outputs[0] == outputs[1]
 
 
-def test_scoring_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """pretrain, sample, compute-stats, fd and fdr give the same bytes with 1
-    and 2 BLAS threads, on splits of two full blocks plus a 1-row tail."""
-    shipped = Path(__file__).resolve().parents[1] / "configs" / "mixture.cfg"
-    text = shipped.read_text(encoding="utf-8")
-    config = tmp_path / "mixture.cfg"
-    config.write_text(
-        text.replace("pretrain_steps = 1500", "pretrain_steps = 200"), encoding="utf-8"
-    )
-    target = load_config(str(config)).train.target
-    n = 2 * BLOCK_ROWS + 1
-    train, val = tmp_path / "train.bin", tmp_path / "val.bin"
-    write_features(str(train), sample_target(target, n, "split-a"))
-    write_features(str(val), sample_target(target, n, "split-b"))
-    outputs = []
-    for threads in ("1", "2"):
-        ckpt, gen, stats, report = (
-            tmp_path / f"{name}{threads}"
-            for name in ("pre.ckpt", "gen.bin", "train.stats", "report.csv")
-        )
-        printed = [
-            fdopt_process(threads, "pretrain", "--config", config, "--out", ckpt),
-            fdopt_process(threads, "sample", "--ckpt", ckpt, "--n", n, "--out", gen),
-            fdopt_process(threads, "compute-stats", "--features", train, "--out", stats),
-            fdopt_process(threads, "fd", "--ref", stats, "--gen", gen),
-            fdopt_process(
-                threads, "fdr", "--train", train, "--val", val, "--gen", gen,
-                "--config", config, "--out", report,
-            ),
-        ]
-        outputs.append([p.read_bytes() for p in (ckpt, gen, stats, report)] + printed)
-    assert outputs[0] == outputs[1]
+def test_scoring_bytes_do_not_depend_on_blas_threads():
+    """scripts/output_digests.py prints the same digests with 1 and 2 BLAS
+    threads: every artifact of pretrain, train, sample, compute-stats, fd,
+    fdr and report, on splits of one to 32 blocks with and without a tail."""
+    script = ROOT / "scripts" / "output_digests.py"
+    assert python_process("1", script) == python_process("2", script)
 
 
 class TestReport:
@@ -733,15 +720,29 @@ class TestReport:
         log = str(tmp_path / "log.csv")
         rows = [
             ("warm_start", 0, 0.0, 2.0, 4.0, 1.0),
-            ("train", 1, 1e-3, 1.0, 2.5, 0.6),
-            ("train", 2, 1e-3, 0.8, 3.0, 0.2),
-            ("final", 3, 0.0, 0.5, 2.75, 0.3),
+            ("train", 0, 1e-3, 1.0, 2.5, 0.6),
+            ("train", 1, 1e-3, 0.8, 3.0, 0.2),
+            ("final", 2, 0.0, 0.5, 2.75, 0.3),
         ]
         write_metrics_log(log, ["rep0_identity", "rep1_affine"], rows)
         assert cli_dispatch(["report", "--log", log]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[0] == "rep0_identity first=4 last=2.75 best=2.5 step=1"
-        assert lines[1] == "rep1_affine first=1 last=0.3 best=0.2 step=2"
+        assert lines[0] == "rep0_identity first=4 last=2.75 best=2.5 step=0"
+        assert lines[1] == "rep1_affine first=1 last=0.3 best=0.2 step=1"
+
+    def test_log_without_final_row_takes_last_from_last_train_row(
+        self, tmp_path, capsys
+    ):
+        # a failed run's log ends at its last completed step
+        log = str(tmp_path / "log.csv")
+        rows = [("warm_start", 0, 0.0, 2.0, 4.0), ("train", 0, 1e-3, 1.0, 2.5),
+                ("train", 1, 1e-3, 0.8, 3.0)]
+        write_metrics_log(log, ["rep0_identity"], rows)
+        assert cli_dispatch(["report", "--log", log]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "rep0_identity first=4 last=3 best=2.5 step=0\n"
+        note = f"{log} has no final row; last= is the train row at step 1"
+        assert note in captured.err
 
     @pytest.mark.parametrize(
         "header, row, line",
@@ -750,8 +751,20 @@ class TestReport:
             ("phase,step,lr,loss", "train,0,0.1,0.5", 1),
             ("phase,step,lr,loss,fd_a", "bogus,0,0.1,0.5,1.0", 2),
             ("phase,step,lr,loss,fd_a", "train,-5,0.1,0.5,1.0", 2),
+            # a label names one column; rows come in the order fdopt writes
+            ("phase,step,lr,loss,fd_a,fd_a", "warm_start,0,0,1,1,1\nfinal,1,0,1,1,1\n"
+             "train,0,0.1,0.5,0.5,0.5", 1),
+            ("phase,step,lr,loss,fd_a", "warm_start,0,0,1,1\nfinal,1,0,1,1\n"
+             "train,0,0.1,0.5,0.5", 4),
+            ("phase,step,lr,loss,fd_a", "train,0,0.1,0.5,1.0", 2),
+            ("phase,step,lr,loss,fd_a", "warm_start,0,0,1,1\ntrain,1,0.1,0.5,1.0", 3),
+            ("phase,step,lr,loss,fd_a", "warm_start,0,0,1,1\nwarm_start,0,0,1,1", 3),
+            ("phase,step,lr,loss,fd_a",
+             "warm_start,0,0,1,1\nfinal,0,0,1,1\nfinal,0,0,1,1", 4),
         ],
-        ids=["non_fd_column", "no_fd_column", "bogus_phase", "negative_step"],
+        ids=["non_fd_column", "no_fd_column", "bogus_phase", "negative_step",
+             "repeated_label", "train_after_final", "no_warm_start", "skipped_step",
+             "two_warm_starts", "two_finals"],
     )
     def test_log_fdopt_never_writes_is_exit_2(self, tmp_path, capsys, header, row, line):
         log = tmp_path / "log.csv"

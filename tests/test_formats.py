@@ -453,7 +453,7 @@ class TestMetricsLog:
     def rows():
         return [
             ("warm_start", 0, 0.0, 1.5, 2.5, 3.5),
-            ("train", 1, 1e-05, 0.75, 1.25, 2.0),
+            ("train", 0, 1e-05, 0.75, 1.25, 2.0),
             ("final", 10, 0.0, 0.001234567890123, 0.5, 0.25),
         ]
 
@@ -462,7 +462,7 @@ class TestMetricsLog:
         lines = text.split("\n")
         assert lines[0] == "phase,step,lr,loss,fd_rep0_identity,fd_rep1_affine"
         assert lines[1] == "warm_start,0,0,1.5,2.5,3.5"
-        assert lines[2] == "train,1,1e-05,0.75,1.25,2"
+        assert lines[2] == "train,0,1e-05,0.75,1.25,2"
         assert lines[3] == "final,10,0,0.00123456789012,0.5,0.25"
         assert text.endswith("\n")
 
