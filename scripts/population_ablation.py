@@ -16,14 +16,16 @@ import time
 from dataclasses import replace
 
 from fdopt.config import load_config
+from fdopt.estimators import Ema, Queue
 from fdopt.trainer import post_train
 
 
 def arms(batch_size):
+    """(name, estimator) of each arm: batch-only, EMA, queue."""
     return (
-        ("batch-only (beta 0)", dict(estimator="ema", ema_beta=0.0)),
-        ("ema beta 0.999", dict(estimator="ema", ema_beta=0.999)),
-        ("queue N = 8B", dict(estimator="queue", queue_capacity=8 * batch_size)),
+        ("batch-only (beta 0)", Ema(0.0)),
+        ("ema beta 0.999", Ema(0.999)),
+        ("queue N = 8B", Queue(8 * batch_size)),
     )
 
 
@@ -42,11 +44,11 @@ def main() -> None:
         f"task: B={base.batch_size}, {base.total_steps} steps, "
         f"peak lr {base.peak_lr:g}, seeds 0..{args.seeds - 1}"
     )
-    for name, overrides in arms(base.batch_size):
+    for name, estimator in arms(base.batch_size):
         start = time.time()
         finals = []
         for seed in range(args.seeds):
-            _, log = post_train(replace(base, seed=seed, **overrides))
+            _, log = post_train(replace(base, seed=seed, estimator=estimator))
             finals.append(log.records[-1].fds[0])
         runs = " ".join(f"{v:.4f}" for v in finals)
         print(

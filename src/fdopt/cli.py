@@ -200,10 +200,11 @@ def _cmd_report(args) -> int:
     for i, label in enumerate(labels):
         values = [row[4 + i] for row in rows]
         best = min(range(len(values)), key=values.__getitem__)
+        phase, step = rows[best][:2]
         print(
             f"{label} first={format_sig9(values[0])} "
             f"last={format_sig9(values[-1])} "
-            f"best={format_sig9(values[best])} step={rows[best][1]}"
+            f"best={format_sig9(values[best])} phase={phase} step={step}"
         )
     return 0
 

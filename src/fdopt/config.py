@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .estimators import Ema, Queue
 from .formats import read_text
 from .representations import (
     RepresentationEnsemble,
@@ -84,8 +85,8 @@ _TRAINER = {
 }
 _PRETRAIN = {"pretrain_steps": ("pretrain_steps", _int)}  # [trainer], LoadedConfig
 # an [estimator] of each kind
-_EMA = {"kind": ("estimator", _str), "beta": ("ema_beta", _float)}
-_QUEUE = {"kind": ("estimator", _str), "capacity": ("queue_capacity", _int)}
+_EMA = {"beta": ("beta", _float)}
+_QUEUE = {"capacity": ("capacity", _int)}
 _ENSEMBLE = {"c": ("c", _float), "weights": ("weights", _list(_float))}
 _REP = {
     "kind": ("kind", _str),
@@ -99,7 +100,7 @@ _FILE = {"path": ("path", _str), "sample_seed": ("sample_seed", _int)}
 
 _SECTION_KEYS = {
     "trainer": {*_TRAINER, *_PRETRAIN},
-    "estimator": {*_EMA, *_QUEUE},
+    "estimator": {"kind", *_EMA, *_QUEUE},
     "ensemble": set(_ENSEMBLE),
     "target": {"kind", *_MIXTURE, *_FILE},
     "source": {"kind", *_MIXTURE, *_FILE},
@@ -273,7 +274,8 @@ def build_config(sections: dict[str, dict[str, str]]) -> LoadedConfig:
     estimator = sections.get("estimator", {})
     table = _kind_table(estimator, "estimator", {"ema": _EMA, "queue": _QUEUE})
     train_fields = _fields(trainer, _TRAINER, "trainer.")
-    train_fields |= _fields(estimator, table, "estimator.")
+    kind = Ema if table is _EMA else Queue
+    kind_fields = _fields(estimator, table, "estimator.")
     if "ensemble" not in sections:
         raise ConfigError("missing required section [ensemble]")
     in_dim = train_fields.get("out_dim", TrainConfig.out_dim)
@@ -285,9 +287,10 @@ def build_config(sections: dict[str, dict[str, str]]) -> LoadedConfig:
     if "target" in sections:
         train = _construct(
             TrainConfig,
-            _keys(_TRAINER, "trainer.") | _keys(table, "estimator."),
+            _keys(_TRAINER, "trainer."),
             ensemble=ensemble,
             target=_build_target(sections["target"], "target"),
+            estimator=_construct(kind, _keys(table, "estimator."), **kind_fields),
             **train_fields,
         )
     return LoadedConfig(

@@ -39,21 +39,25 @@ number of rows pushed, so runs stay deterministic. Shifting by c keeps
 m m^T small next to the scatter, so the subtraction does not cancel when
 the features sit far from the origin.
 
-A state is built warm, so its summary always exists: QueueState(capacity,
-samples) fills the ring with the last capacity warm-start rows, and
-EmaState(beta, stats) starts from the warm-start population's statistics.
-The caller owns a state, and its commit updates it in place.
+An estimator kind, Ema(beta) or Queue(capacity), is a frozen value that
+checks its parameter when it is made. Its warm_states builds one state per
+representation from the warm-start evaluation, so a summary always exists:
+an EmaState starts from that population's statistics, a QueueState fills
+its ring with the population's last capacity rows. The caller owns a
+state, and its commit updates it in place.
 
-Inputs are checked where they enter: at the state constructors and the
-trainer's config. estimate, backprop_estimate and commit are the training
-loop's kernels; they take a finite B x d batch of the state's dimension
-and check nothing again. So estimate returns a plain Estimate(mu, sigma),
-not a GaussianStats, which always holds checked statistics; fd,
-fd_with_grad and commit read either one.
+Inputs are checked where they enter: beta and capacity by their kind, the
+warm-start rows by QueueState, and batch_size <= capacity <=
+warm_start_count by the trainer's config. estimate, backprop_estimate and
+commit are the training loop's kernels; they take a finite B x d batch of
+the state's dimension and check nothing again. So estimate returns a plain
+Estimate(mu, sigma), not a GaussianStats, which always holds checked
+statistics; fd, fd_with_grad and commit read either one.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -67,14 +71,48 @@ from .frechet import (
     merge_moments,
     row_blocks,
 )
+from .representations import featurize
 
 __all__ = [
+    "Ema",
+    "Queue",
     "QueueState",
     "EmaState",
     "Estimate",
     "estimate",
     "backprop_estimate",
 ]
+
+
+@dataclass(frozen=True)
+class Ema:
+    """An exponential moving summary of history fraction beta in [0, 1)."""
+
+    beta: float = 0.999
+
+    def __post_init__(self):
+        if not (0.0 <= self.beta < 1.0):
+            raise DataError(f"beta must lie in [0, 1), got {self.beta}")
+
+    def warm_states(self, specs, rows: np.ndarray, stats) -> list[EmaState]:
+        """One EmaState per spec, from the warm evaluation's stats in it."""
+        return [EmaState(self.beta, s) for s in stats]
+
+
+@dataclass(frozen=True)
+class Queue:
+    """A FIFO ring of the last capacity >= 1 generated feature rows."""
+
+    capacity: int = 1024
+
+    def __post_init__(self):
+        if self.capacity < 1:
+            raise DataError(f"capacity must be >= 1, got {self.capacity}")
+
+    def warm_states(self, specs, rows: np.ndarray, stats) -> list[QueueState]:
+        """One QueueState per spec, from the last capacity warm rows in it."""
+        tail = rows[-self.capacity :]
+        return [QueueState(self.capacity, featurize(spec, tail)) for spec in specs]
 
 
 class QueueState:
@@ -88,8 +126,6 @@ class QueueState:
     """
 
     def __init__(self, capacity: int, samples: np.ndarray):
-        if capacity < 1:
-            raise DataError(f"queue capacity must be >= 1, got {capacity}")
         samples = check_rows(samples, "warm-start samples")
         if samples.shape[0] < capacity:
             raise DataError(
@@ -135,8 +171,6 @@ class EmaState:
     the batch."""
 
     def __init__(self, beta: float, stats: GaussianStats):
-        if not (0.0 <= beta < 1.0):
-            raise DataError(f"beta must lie in [0, 1), got {beta}")
         self.beta = float(beta)
         self.mu, self.sigma = stats.mu, stats.sigma
 

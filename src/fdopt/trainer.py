@@ -33,7 +33,7 @@ from .errors import (
     NumericalError,
     StepError,
 )
-from .estimators import EmaState, QueueState, backprop_estimate, estimate
+from .estimators import Ema, Queue, backprop_estimate, estimate
 from .formats import read_feature_blocks, read_features
 from .frechet import (
     BLOCK_ROWS,
@@ -369,9 +369,11 @@ class TrainConfig:
     Defaults are desk-scale: a (64, 64)-hidden tanh MLP mapping 8-d noise
     to 2-d samples, batch 128, 3000 steps with 150 linear-warmup steps into
     a cosine decay, peak learning rate 1e-3, moment betas (0.9, 0.95), no
-    weight decay. warm_start_count is the population size N, whatever the
-    estimator: the rows of a mixture's reference draw and of the warm-start
-    and final evaluations. A queue holds between batch_size and N rows.
+    weight decay, and an EMA of beta 0.999. estimator is an Ema(beta) or a
+    Queue(capacity), which checks its own parameter. warm_start_count is the
+    population size N, whatever the estimator: the rows of a mixture's
+    reference draw and of the warm-start and final evaluations. A queue
+    holds between batch_size and N rows.
     """
 
     ensemble: RepresentationEnsemble
@@ -384,9 +386,7 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.95
     weight_decay: float = 0.0
-    estimator: str = "ema"
-    ema_beta: float = 0.999
-    queue_capacity: int = 1024
+    estimator: Ema | Queue = Ema()
     warm_start_count: int = BLOCK_ROWS
     z_dim: int = 8
     hidden: tuple[int, ...] = (64, 64)
@@ -413,18 +413,15 @@ class TrainConfig:
             raise ConfigError(
                 f"weight_decay must be finite and >= 0, got {self.weight_decay}"
             )
-        if self.estimator not in ("queue", "ema"):
-            raise ConfigError(f"estimator must be queue or ema, got {self.estimator}")
-        if not (0.0 <= self.ema_beta < 1.0):
-            raise ConfigError(f"ema_beta must lie in [0, 1), got {self.ema_beta}")
         if self.warm_start_count < 1:
             raise ConfigError(f"warm_start_count must be >= 1, got {self.warm_start_count}")
-        if self.estimator == "queue" and not (
-            self.batch_size <= self.queue_capacity <= self.warm_start_count
+        if isinstance(self.estimator, Queue) and not (
+            self.batch_size <= self.estimator.capacity <= self.warm_start_count
         ):
             raise ConfigError(
-                f"queue_capacity must lie in [batch_size, trainer.warm_start_count] = "
-                f"[{self.batch_size}, {self.warm_start_count}], got {self.queue_capacity}"
+                f"estimator.capacity must lie in [batch_size, trainer.warm_start_count] "
+                f"= [{self.batch_size}, {self.warm_start_count}], "
+                f"got {self.estimator.capacity}"
             )
         if self.ensemble.in_dim != self.out_dim:
             raise ConfigError(
@@ -515,9 +512,9 @@ def post_train(
     The log holds one warm_start record (_evaluate of the starting model,
     the step-0 distance), one train record per step with the
     estimator-based distances that produced the loss, and — when any steps
-    ran — one final record evaluated like the warm-start one. Each EMA
-    starts from the warm evaluation's stats, each queue from its last
-    queue_capacity rows.
+    ran — one final record evaluated like the warm-start one. The warm
+    evaluation also starts the estimator's states (Ema.warm_states,
+    Queue.warm_states).
     """
     model = initial_model
     if model is None:
@@ -532,14 +529,7 @@ def post_train(
 
     xw, warm_stats, warm_fds = _evaluate(config, model, refs, "warm-start-noise")
     log.records.append(_record(config, "warm_start", 0, 0.0, warm_fds))
-    if config.estimator == "queue":
-        tail = xw[-config.queue_capacity :]
-        states = [
-            QueueState(config.queue_capacity, featurize(spec, tail))
-            for spec in config.ensemble.specs
-        ]
-    else:
-        states = [EmaState(config.ema_beta, stats) for stats in warm_stats]
+    states = config.estimator.warm_states(config.ensemble.specs, xw, warm_stats)
 
     fit = _Fit(model, config.batch_size, config.beta1, config.beta2, config.weight_decay)
     noise = SplitMix64(derive_seed("train-noise", config.seed))

@@ -54,6 +54,7 @@ from oracles import (
     central_difference,
     denman_beavers_sqrt,
     ema_replay_oracle,
+    load_script,
     population_stats_oracle,
     queue_contents,
     relative_error,
@@ -355,22 +356,19 @@ def test_decoupling_direction(criterion):
     with criterion("decoupling direction (EMA-0.999 and queue-8B beat batch-only)"):
         start = time.perf_counter()
         base = load_config(str(CONFIGS / "decoupling.cfg")).train
-        arms = {
-            "batch": dict(estimator="ema", ema_beta=0.0),
-            "ema": dict(estimator="ema", ema_beta=0.999),
-            "queue": dict(
-                estimator="queue", queue_capacity=8 * base.batch_size
-            ),
-        }
+        # the arms of scripts/population_ablation.py: Ema(0.0), Ema(0.999)
+        # and Queue(8 B)
+        arms = load_script("population_ablation").arms(base.batch_size)
         finals = {}
-        for name, overrides in arms.items():
+        for name, estimator in arms:
             values = []
             for seed in range(5):
-                _, log = post_train(replace(base, seed=seed, **overrides))
+                _, log = post_train(replace(base, seed=seed, estimator=estimator))
                 values.append(identity_fd_series(log)[1])
             finals[name] = statistics.median(values)
-        assert finals["ema"] < finals["batch"], finals
-        assert finals["queue"] < finals["batch"], finals
+        batch, ema, queue = finals.values()
+        assert ema < batch, finals
+        assert queue < batch, finals
         assert time.perf_counter() - start < 300.0, finals
 
 

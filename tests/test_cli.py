@@ -727,8 +727,25 @@ class TestReport:
         write_metrics_log(log, ["rep0_identity", "rep1_affine"], rows)
         assert cli_dispatch(["report", "--log", log]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[0] == "rep0_identity first=4 last=2.75 best=2.5 step=0"
-        assert lines[1] == "rep1_affine first=1 last=0.3 best=0.2 step=1"
+        assert lines[0] == "rep0_identity first=4 last=2.75 best=2.5 phase=train step=0"
+        assert lines[1] == "rep1_affine first=1 last=0.3 best=0.2 phase=train step=1"
+
+    @pytest.mark.parametrize(
+        "fds, want",
+        [
+            ((1.0, 2.0, 3.0), "a first=1 last=3 best=1 phase=warm_start step=0\n"),
+            ((2.0, 1.0, 3.0), "a first=2 last=3 best=1 phase=train step=0\n"),
+            # the final row's step is the run's step count, not a train step
+            ((2.0, 3.0, 1.0), "a first=2 last=1 best=1 phase=final step=1\n"),
+        ],
+        ids=["warm_start", "train", "final"],
+    )
+    def test_best_names_its_phase(self, tmp_path, capsys, fds, want):
+        log = str(tmp_path / "log.csv")
+        phases = [("warm_start", 0, 0.0), ("train", 0, 1e-3), ("final", 1, 0.0)]
+        write_metrics_log(log, ["a"], [(*p, 1.0, v) for p, v in zip(phases, fds)])
+        assert cli_dispatch(["report", "--log", log]) == 0
+        assert capsys.readouterr().out == want
 
     def test_log_without_final_row_takes_last_from_last_train_row(
         self, tmp_path, capsys
@@ -740,7 +757,7 @@ class TestReport:
         write_metrics_log(log, ["rep0_identity"], rows)
         assert cli_dispatch(["report", "--log", log]) == 0
         captured = capsys.readouterr()
-        assert captured.out == "rep0_identity first=4 last=3 best=2.5 step=0\n"
+        assert captured.out == "rep0_identity first=4 last=3 best=2.5 phase=train step=0\n"
         note = f"{log} has no final row; last= is the train row at step 1"
         assert note in captured.err
 

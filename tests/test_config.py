@@ -19,6 +19,7 @@ from fdopt.config import (
     parse_config,
 )
 from fdopt.errors import ConfigError
+from fdopt.estimators import Queue
 from fdopt.representations import RepresentationEnsemble, RepresentationSpec
 from fdopt.trainer import FileTarget, MixtureTarget, TrainConfig
 
@@ -117,7 +118,7 @@ class TestBuild:
         assert (train.warmup_steps, train.peak_lr) == (5, 0.002)
         assert (train.beta1, train.beta2, train.weight_decay) == (0.9, 0.99, 0.01)
         assert (train.z_dim, train.hidden, train.out_dim) == (4, (16, 8), 2)
-        assert (train.estimator, train.queue_capacity) == ("queue", 256)
+        assert train.estimator == Queue(256)
         assert train.warm_start_count == 4096
         assert loaded.pretrain_steps == 7
 
@@ -468,7 +469,7 @@ def test_accepted_keys_per_section():
         "source": {"kind", "sample_seed", "path"},
     }
     # each kind's own keys; a mixture also takes comp.N.weight/mean/cov
-    assert (set(_EMA), set(_QUEUE)) == ({"kind", "beta"}, {"kind", "capacity"})
+    assert (set(_EMA), set(_QUEUE)) == ({"beta"}, {"capacity"})
     assert set(_MIXTURE) == {"sample_seed"}
     assert set(_FILE) == {"path", "sample_seed"}
     for field in ("kind", "seed", "out_dim", "scale"):

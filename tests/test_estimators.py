@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from conftest import random_psd
 from fdopt.errors import DataError
 from fdopt.estimators import (
+    Ema,
     EmaState,
     Estimate,
+    Queue,
     QueueState,
     backprop_estimate,
     estimate,
@@ -18,6 +20,7 @@ from fdopt.frechet import (
     fd_with_grad,
     make_reference,
 )
+from fdopt.representations import RepresentationSpec, featurize
 from fdopt.rng import SplitMix64
 from oracles import (
     central_difference,
@@ -151,7 +154,7 @@ class TestQueueRunningSums:
 
     def test_dense_rebuild_once_per_turnover(self, monkeypatch):
         import fdopt.estimators as estimators_module
-        from fdopt.representations import RepresentationEnsemble, RepresentationSpec
+        from fdopt.representations import RepresentationEnsemble
         from fdopt.trainer import MixtureTarget, TrainConfig, post_train
 
         rebuilds = 0
@@ -175,8 +178,7 @@ class TestQueueRunningSums:
             total_steps=steps,
             warmup_steps=4,
             hidden=(8,),
-            estimator="queue",
-            queue_capacity=capacity,
+            estimator=Queue(capacity),
         )
         post_train(config)
         # the warm start, then one rebuild per full turnover of the queue
@@ -321,12 +323,28 @@ class TestWarmStart:
     @pytest.mark.parametrize("capacity", [0, -1])
     def test_queue_capacity_below_one_rejected(self, capacity):
         with pytest.raises(DataError, match="capacity must be >= 1"):
-            QueueState(capacity, np.zeros((3, 2)))
+            Queue(capacity)
 
     @pytest.mark.parametrize("beta", [-0.1, 1.0, 1.5, float("nan")])
     def test_ema_beta_outside_unit_interval_rejected(self, beta):
         with pytest.raises(DataError, match=r"beta must lie in \[0, 1\)"):
-            EmaState(beta, stats_from_features(np.zeros((3, 2))))
+            Ema(beta)
+
+    def test_kinds_start_one_state_per_spec(self):
+        specs = (
+            RepresentationSpec("identity", 0, 2, 2),
+            RepresentationSpec("tanh_rf", 1, 2, 3),
+        )
+        rows = SplitMix64(73).normal_matrix(9, 2)
+        stats = [stats_from_features(featurize(spec, rows)) for spec in specs]
+        queues = Queue(4).warm_states(specs, rows, stats)
+        emas = Ema(0.5).warm_states(specs, rows, stats)
+        for spec, s, q, e in zip(specs, stats, queues, emas):
+            # a queue keeps the last capacity samples, featurized
+            assert np.array_equal(queue_contents(q), featurize(spec, rows[-4:]))
+            assert (e.beta, e.mu.tobytes(), e.sigma.tobytes()) == (
+                0.5, s.mu.tobytes(), s.sigma.tobytes()
+            )
 
     def test_queue_owns_its_rows(self):
         rows = SplitMix64(72).normal_matrix(4, 2)

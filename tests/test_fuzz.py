@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fdopt import formats
 from fdopt.config import build_config, parse_config
 from fdopt.errors import ConfigError, DataError
+from fdopt.estimators import Ema, Queue
 from fdopt.frechet import GaussianStats
 from fdopt.rng import SplitMix64
 from fdopt.trainer import GeneratorModel
@@ -71,10 +72,9 @@ def _check_populations(sections, loaded) -> None:
     every key it sets."""
     train, estimator = loaded.train, sections.get("estimator", {})
     if train and "beta" in estimator:
-        assert (train.estimator, train.ema_beta) == ("ema", float(estimator["beta"]))
+        assert train.estimator == Ema(float(estimator["beta"]))
     if train and "capacity" in estimator:
-        capacity = int(estimator["capacity"])
-        assert (train.estimator, train.queue_capacity) == ("queue", capacity)
+        assert train.estimator == Queue(int(estimator["capacity"]))
     built = {"target": train and train.target, "source": loaded.source}
     for name, population in built.items():
         section = sections.get(name, {})
