@@ -49,7 +49,7 @@ def main() -> None:
         finals = []
         for seed in range(args.seeds):
             _, log = post_train(replace(base, seed=seed, estimator=estimator))
-            finals.append(log.records[-1].fds[0])
+            finals.append(log.final.fds[0])
         runs = " ".join(f"{v:.4f}" for v in finals)
         print(
             f"{name:20s} median {statistics.median(finals):.4f}   "

@@ -57,6 +57,7 @@ from .trainer import (
     generate_blocks,
     post_train,
     pretrain_regression,
+    tile_buffers,
 )
 
 _LOG = logging.getLogger("fdopt.cli")
@@ -180,7 +181,7 @@ def _cmd_sample(args) -> int:
     stream = SplitMix64(derive_seed("sample-noise", args.seed))
     # each block's noise is drawn just before its forward and written after it
     noise = stream.normal_blocks(args.n, model.z_dim, BLOCK_ROWS)
-    blocks = generate_blocks(model, noise)
+    blocks = generate_blocks(model, noise, tile_buffers(model, args.n))
     write_feature_blocks(args.out, (args.n, model.out_dim), blocks)
     return 0
 

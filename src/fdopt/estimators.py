@@ -47,8 +47,9 @@ its ring with the population's last capacity rows. The caller owns a
 state, and its commit updates it in place.
 
 Inputs are checked where they enter: beta and capacity by their kind, the
-warm-start rows by QueueState, and batch_size <= capacity <=
-warm_start_count by the trainer's config. estimate, backprop_estimate and
+warm-start rows by QueueState, and by the trainer's config that its
+estimator is an Ema or a Queue and that batch_size <= capacity <=
+warm_start_count. estimate, backprop_estimate and
 commit are the training loop's kernels; they take a finite B x d batch of
 the state's dimension and check nothing again. So estimate returns a plain
 Estimate(mu, sigma), not a GaussianStats, which always holds checked

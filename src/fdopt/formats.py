@@ -32,6 +32,7 @@ from .errors import (
     TruncatedFileError,
 )
 from .frechet import BLOCK_ROWS, GaussianStats, check_rows, row_blocks
+from .symlin import eigvals_sym, psd_tolerance
 
 FEATURES_MAGIC = b"FDF1"
 FEATURES_MAX_ROWS = 2**32 - 1  # the header's u32 row count
@@ -218,9 +219,19 @@ def read_stats(path: str) -> GaussianStats:
     sigma = reader.array(d * d, "<f8", f"{d}x{d} covariance").reshape(d, d)
     reader.expect_end()
     try:
-        return GaussianStats(mu=mu, sigma=sigma, weight=weight)
+        stats = GaussianStats(mu=mu, sigma=sigma, weight=weight)
     except DataError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+    # fdopt writes a scatter divided by n, PSD up to rounding; an eigenvalue
+    # past that rounding would be clamped into a wrong distance
+    low = float(eigvals_sym(stats.sigma, f"{path} covariance")[0])
+    tolerance = psd_tolerance(float(np.trace(stats.sigma)), d)
+    if low < tolerance:
+        raise DataError(
+            f"{path}: covariance is not PSD: eigenvalue {low:.6e} below "
+            f"tolerance {tolerance:.6e}"
+        )
+    return stats
 
 
 def write_checkpoint(path: str, weights, biases) -> None:
@@ -308,27 +319,31 @@ def write_report_csv(report, path: str) -> None:
         raise NumericalError(f"failed writing report to {path}: {exc}") from exc
 
 
-def metrics_log_text(labels, rows) -> str:
-    """CSV text for a training log.
+def _metrics_log_lines(labels, rows):
+    """The training log's CSV lines, LF-terminated, one row at a time.
 
     labels are the per-representation column suffixes; each row is
     (phase, step, lr, loss, fd_0, ..., fd_{K-1}).
     """
-    header = "phase,step,lr,loss," + ",".join(f"fd_{label}" for label in labels)
-    lines = [header]
+    yield "phase,step,lr,loss," + ",".join(f"fd_{label}" for label in labels) + "\n"
     width = 4 + len(labels)
     for row in rows:
         if len(row) != width:
             raise DataError(f"log row has {len(row)} fields, expected {width}")
-        phase, step, lr, loss = row[0], row[1], row[2], row[3]
-        cells = [phase, str(int(step)), "%.12g" % lr, "%.12g" % loss]
-        cells += ["%.12g" % v for v in row[4:]]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        cells = [row[0], str(int(row[1]))] + ["%.12g" % v for v in row[2:]]
+        yield ",".join(cells) + "\n"
+
+
+def metrics_log_text(labels, rows) -> str:
+    """CSV text for a training log (see _metrics_log_lines)."""
+    return "".join(_metrics_log_lines(labels, rows))
 
 
 def write_metrics_log(path: str, labels, rows) -> None:
-    atomic_write_text(path, metrics_log_text(labels, rows))
+    """metrics_log_text of the rows, which may be an iterator, written line
+    by line as the rows arrive; a malformed row leaves no file."""
+    lines = _metrics_log_lines(labels, rows)
+    atomic_write_chunks(path, (line.encode("utf-8") for line in lines))
 
 
 def read_metrics_log(path: str):

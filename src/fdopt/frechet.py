@@ -49,7 +49,10 @@ class GaussianStats:
     """First and second moments of a feature population, checked.
 
     weight is the population's row count; it is bookkeeping only and does
-    not enter the distance.
+    not enter the distance. sigma is checked finite and symmetric here, not
+    PSD: fdopt builds it as a scatter divided by n, PSD up to rounding, and
+    read_stats rejects a file whose covariance has an eigenvalue below the
+    rounding tolerance symlin.psd_tolerance.
     """
 
     mu: np.ndarray

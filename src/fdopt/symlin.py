@@ -51,20 +51,36 @@ def eig_sym(a: np.ndarray, name: str = "matrix"):
     float64 matrix the caller has checked (check_symmetric) or made exactly
     symmetric, with A = V diag(w) V^T; the input is not checked again. A
     LAPACK failure is raised as NumericalError naming the matrix."""
+    return _lapack(np.linalg.eigh, a, name)
+
+
+def eigvals_sym(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """eig_sym's eigenvalues alone, ascending, from LAPACK's values-only
+    routine (eigvalsh)."""
+    return _lapack(np.linalg.eigvalsh, a, name)
+
+
+def _lapack(solver, a: np.ndarray, name: str):
     try:
-        return np.linalg.eigh(a)
+        return solver(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition of {name} failed: {exc}") from exc
+
+
+def psd_tolerance(trace: float, dim: int) -> float:
+    """The most negative eigenvalue a dim x dim PSD matrix of the given trace
+    may show from rounding: -1e-8 * trace / dim."""
+    return -1e-8 * max(trace, 0.0) / dim
 
 
 def psd_root(w: np.ndarray, v: np.ndarray, trace: float, name: str) -> np.ndarray:
     """Symmetric root V diag(sqrt(w)) V^T from the eigenpairs of a matrix
     with the given trace.
 
-    Eigenvalues below -1e-8 * trace/dim trigger a warning in the computation
+    Eigenvalues below psd_tolerance trigger a warning in the computation
     log; all negative eigenvalues are clamped to zero before the root.
     """
-    threshold = -1e-8 * max(trace, 0.0) / w.size
+    threshold = psd_tolerance(trace, w.size)
     low = float(w.min())
     if low < threshold:
         log.warning(

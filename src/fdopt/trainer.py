@@ -21,7 +21,7 @@ a config fully determines every byte of the outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,6 +67,7 @@ __all__ = [
     "MetricsLog",
     "generate",
     "generate_blocks",
+    "tile_buffers",
     "generator_backprop",
     "optimizer_step",
     "lr_at",
@@ -146,6 +147,30 @@ def _forward(model: GeneratorModel, z: np.ndarray, buffers: list) -> list[np.nda
     return acts
 
 
+# Rows per tile of a sample block's forward. On OpenBLAS 0.3.31, tiles of
+# 1024 and 2048 rows give every output row the bits of the whole block's
+# forward, while 512-row tiles change the output layer's bits; tile-sized
+# hidden buffers are a quarter of a block's.
+TILE_ROWS = 1024
+
+
+def _tiles(rows: int) -> list[slice]:
+    """A block's row slices for _forward: TILE_ROWS rows each, the last one
+    taking the remainder, so no tile is shorter than TILE_ROWS unless its
+    whole block is."""
+    starts = list(range(0, max(rows - TILE_ROWS, 0) + 1, TILE_ROWS))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [rows])]
+
+
+def tile_buffers(model: GeneratorModel, rows: int) -> list[np.ndarray]:
+    """Hidden-layer buffers for generate_blocks, long enough for every tile
+    of a rows-row sample cut into BLOCK_ROWS blocks (the last may be
+    shorter)."""
+    blocks = (min(rows, BLOCK_ROWS), rows % BLOCK_ROWS)
+    longest = max(t.stop - t.start for r in blocks for t in _tiles(r))
+    return _buffers(model, longest)[:-1]
+
+
 def generate(model: GeneratorModel, z: np.ndarray) -> np.ndarray:
     """Generator samples for the noise rows z, computed BLOCK_ROWS rows at a
     time by generate_blocks, so only the n x out_dim output grows with n."""
@@ -154,21 +179,27 @@ def generate(model: GeneratorModel, z: np.ndarray) -> np.ndarray:
         raise DataError(f"z must be B x {model.z_dim}, got {z.shape}")
     if not np.isfinite(z).all():
         raise NonFiniteDataError("z contains non-finite entries")
+    hidden = tile_buffers(model, z.shape[0])
     out = np.empty((z.shape[0], model.out_dim))
-    for dest, block in zip(row_blocks(out), generate_blocks(model, row_blocks(z))):
+    for dest, block in zip(row_blocks(out), generate_blocks(model, row_blocks(z), hidden)):
         dest[:] = block
     return out
 
 
-def generate_blocks(model: GeneratorModel, z_blocks):
+def generate_blocks(model: GeneratorModel, z_blocks, hidden: list[np.ndarray]):
     """generate's output for each noise block of at most BLOCK_ROWS rows, as
-    each block arrives, through layer buffers allocated at the first,
-    largest block; each output block is overwritten by the next."""
-    buffers = None
+    each block arrives. Each block runs _forward one tile (_tiles) at a
+    time through the hidden buffers (tile_buffers), the output layer
+    written into one output allocated at the first, largest block; each
+    output block is overwritten by the next."""
+    out = None
     for z in z_blocks:
-        if buffers is None:
-            buffers = _buffers(model, z.shape[0])
-        yield _forward(model, z, buffers)[-1]
+        if out is None:
+            out = np.empty((z.shape[0], model.out_dim))
+        block = out[: z.shape[0]]
+        for tile in _tiles(z.shape[0]):
+            _forward(model, z[tile], hidden + [block[tile]])
+        yield block
 
 
 def generator_backprop(
@@ -369,8 +400,9 @@ class TrainConfig:
     Defaults are desk-scale: a (64, 64)-hidden tanh MLP mapping 8-d noise
     to 2-d samples, batch 128, 3000 steps with 150 linear-warmup steps into
     a cosine decay, peak learning rate 1e-3, moment betas (0.9, 0.95), no
-    weight decay, and an EMA of beta 0.999. estimator is an Ema(beta) or a
-    Queue(capacity), which checks its own parameter. warm_start_count is the
+    weight decay, and an EMA of beta 0.999. estimator must be an Ema(beta)
+    or a Queue(capacity), which checks its own parameter; anything else is
+    a ConfigError naming estimator. warm_start_count is the
     population size N, whatever the estimator: the rows of a mixture's
     reference draw and of the warm-start and final evaluations. A queue
     holds between batch_size and N rows.
@@ -415,6 +447,10 @@ class TrainConfig:
             )
         if self.warm_start_count < 1:
             raise ConfigError(f"warm_start_count must be >= 1, got {self.warm_start_count}")
+        if not isinstance(self.estimator, (Ema, Queue)):
+            raise ConfigError(
+                f"estimator must be an Ema or a Queue, got {self.estimator!r}"
+            )
         if isinstance(self.estimator, Queue) and not (
             self.batch_size <= self.estimator.capacity <= self.warm_start_count
         ):
@@ -451,16 +487,35 @@ class TrainRecord:
     loss: float
     fds: tuple[float, ...]
 
+    def row(self) -> tuple:
+        return (self.phase, self.step, self.lr, self.loss) + tuple(self.fds)
 
-@dataclass
+
 class MetricsLog:
-    labels: tuple[str, ...]
-    records: list[TrainRecord] = field(default_factory=list)
+    """A run's log: the warm_start record, one train row per completed step
+    and, once every step has run, the final record. The train rows are
+    (lr, loss, one distance per space) in one preallocated total_steps x
+    (2 + K) float64 array, 8 (2 + K) bytes a step."""
+
+    def __init__(self, labels: tuple[str, ...], warm_start: TrainRecord, total_steps: int):
+        self.labels = labels
+        self.warm_start = warm_start
+        self.final: TrainRecord | None = None
+        self.train = np.empty((total_steps, 2 + len(labels)))
+        self.steps = 0  # train rows filled
+
+    def add_train(self, lr: float, loss: float, fds) -> None:
+        self.train[self.steps] = (lr, loss, *fds)
+        self.steps += 1
 
     def rows(self):
-        return [
-            (r.phase, r.step, r.lr, r.loss) + tuple(r.fds) for r in self.records
-        ]
+        """The log rows (phase, step, lr, loss, fd_0, ..., fd_{K-1}) in order,
+        made one at a time."""
+        yield self.warm_start.row()
+        for step in range(self.steps):
+            yield ("train", step, *self.train[step].tolist())
+        if self.final is not None:
+            yield self.final.row()
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +539,9 @@ def _evaluate(config: TrainConfig, model: GeneratorModel, refs, noise_name: str)
     named noise stream, generated, with their stats and distance per space.
     Returns (rows, stats, distances)."""
     stream = SplitMix64(derive_seed(noise_name, config.seed))
-    x = generate(model, stream.normal_matrix(config.warm_start_count, config.z_dim))
+    # drawn a tile at a time, the same values as one normal_matrix draw
+    z = stream.normal_blocks(config.warm_start_count, config.z_dim, TILE_ROWS)
+    x = generate(model, np.concatenate(list(z)))
     stats = split_stats(config.ensemble.specs, x, "generated samples")
     return x, stats, [fd(ref, s) for ref, s in zip(refs, stats)]
 
@@ -510,7 +567,7 @@ def post_train(
     ensemble_loss is checked before the update; the estimators commit after.
 
     The log holds one warm_start record (_evaluate of the starting model,
-    the step-0 distance), one train record per step with the
+    the step-0 distance), one train row per step with the
     estimator-based distances that produced the loss, and — when any steps
     ran — one final record evaluated like the warm-start one. The warm
     evaluation also starts the estimator's states (Ema.warm_states,
@@ -525,10 +582,9 @@ def post_train(
             f"{config.layer_dims}"
         )
     refs = _references(config)
-    log = MetricsLog(labels=rep_labels(config.ensemble))
-
     xw, warm_stats, warm_fds = _evaluate(config, model, refs, "warm-start-noise")
-    log.records.append(_record(config, "warm_start", 0, 0.0, warm_fds))
+    warm = _record(config, "warm_start", 0, 0.0, warm_fds)
+    log = MetricsLog(rep_labels(config.ensemble), warm, config.total_steps)
     states = config.estimator.warm_states(config.ensemble.specs, xw, warm_stats)
 
     fit = _Fit(model, config.batch_size, config.beta1, config.beta2, config.weight_decay)
@@ -575,7 +631,7 @@ def post_train(
                 fit.update(acts, sample_grads, lr, step)
                 for state, f, s in commits:
                     state.commit(f, s)
-                log.records.append(TrainRecord("train", step, lr, loss, tuple(fds)))
+                log.add_train(lr, loss, fds)
     except NonFiniteLossError as err:
         err.log = log
         raise
@@ -588,7 +644,7 @@ def post_train(
     if config.total_steps > 0:
         _, _, fds = _evaluate(config, model, refs, "final-eval-noise")
         steps = config.total_steps
-        log.records.append(_record(config, "final", steps, lr_at(steps, config), fds))
+        log.final = _record(config, "final", steps, lr_at(steps, config), fds)
     return model, log
 
 

@@ -75,9 +75,10 @@ def identity_fd_series(log):
     """(warm_start, final) identity-space FD of a log: both rows come from
     the trainer's one large-sample evaluation, so every estimator arm of a
     seed starts from the same value."""
-    assert log.records[0].phase == "warm_start"
-    assert log.records[-1].phase == "final"
-    return log.records[0].fds[0], log.records[-1].fds[0]
+    rows = list(log.rows())
+    assert rows[0][0] == "warm_start"
+    assert rows[-1][0] == "final"
+    return rows[0][4], rows[-1][4]
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +386,7 @@ def test_post_training_convergence(criterion, convergence_runs):
 
 def test_loss_trend(convergence_runs):
     """Module property: trailing 100-step loss average below the leading one."""
-    losses = [r.loss for r in convergence_runs[0].records if r.phase == "train"]
+    losses = [r[3] for r in convergence_runs[0].rows() if r[0] == "train"]
     assert np.mean(losses[-100:]) < np.mean(losses[:100])
 
 

@@ -25,7 +25,7 @@ from fdopt.formats import (
     write_report_csv,
     write_stats,
 )
-from fdopt.frechet import BLOCK_ROWS, fd, make_reference
+from fdopt.frechet import BLOCK_ROWS, GaussianStats, fd, make_reference
 from fdopt.metrics import build_report
 from fdopt.representations import featurize
 from fdopt.rng import SplitMix64, derive_seed
@@ -36,6 +36,7 @@ from fdopt.trainer import (
     pretrain_regression,
     sample_target,
 )
+from conftest import random_psd
 from oracles import load_script, parse_report_csv, stats_from_features
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -494,6 +495,83 @@ class TestComputeStatsAndFd:
         )
         assert code == 2
         assert "exactly one representation" in capsys.readouterr().err
+
+
+class TestNonPsdStats:
+    """A stats file whose covariance has an eigenvalue below the rounding
+    tolerance -1e-8 Tr / d is a data error naming it, exit 2, whichever side
+    it is on. Before the check such a file was clamped into a wrong
+    distance with exit 0 (-1e-6 Tr and -1e-3 Tr as gen or ref) or failed as
+    a numerical error, exit 3, when scored against itself."""
+
+    @staticmethod
+    def covariance(multiple):
+        # a random 4-d covariance whose smallest eigenvalue is multiple * Tr
+        w, v = np.linalg.eigh(random_psd(41, 4))
+        w[0] = multiple * w[1:].sum() / (1.0 - multiple)
+        sigma = (v * w) @ v.T
+        return 0.5 * (sigma + sigma.T)
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        def write(name, sigma):
+            path = str(tmp_path / name)
+            # GaussianStats checks symmetry, not PSD; read_stats checks that
+            write_stats(path, GaussianStats(np.arange(1.0, 5.0) / 10.0, sigma, 100.0))
+            return path
+
+        return write, write("other.stats", random_psd(42, 4) + 0.1 * np.eye(4))
+
+    def score(self, capsys, ref, gen):
+        code = cli_dispatch(["fd", "--ref", ref, "--gen", gen])
+        captured = capsys.readouterr()
+        return code, captured.out.strip(), captured.err
+
+    def test_rounding_sized_negative_eigenvalue_scores_as_before(self, files, capsys):
+        write, other = files
+        bad = write("bad.stats", self.covariance(-1e-14))
+        # the values and exit codes the table's first row has always had
+        want = fd(make_reference(read_stats(other)), read_stats(bad))
+        assert self.score(capsys, other, bad)[:2] == (0, f"{want:.6f}")
+        want = fd(make_reference(read_stats(bad)), read_stats(other))
+        assert self.score(capsys, bad, other)[:2] == (0, f"{want:.6f}")
+        assert self.score(capsys, bad, bad)[:2] == (0, "0.000000")
+
+    @pytest.mark.parametrize("multiple", [-1e-6, -1e-3, -0.05])
+    @pytest.mark.parametrize("side", ["gen", "ref", "itself"])
+    def test_negative_eigenvalue_past_rounding_is_exit_2(
+        self, files, capsys, multiple, side
+    ):
+        write, other = files
+        bad = write("bad.stats", self.covariance(multiple))
+        ref, gen = {"gen": (other, bad), "ref": (bad, other), "itself": (bad, bad)}[side]
+        code, out, err = self.score(capsys, ref, gen)
+        assert (code, out) == (2, "")
+        assert f"{bad}: covariance is not PSD" in err
+
+    def test_eigensolver_failure_in_the_check_is_exit_3(self, files, monkeypatch, capsys):
+        write, other = files
+
+        def failing_eigvalsh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+        code, out, err = self.score(capsys, other, other)
+        assert (code, out) == (3, "")
+        assert f"eigendecomposition of {other} covariance failed" in err
+
+    def test_written_stats_pass(self, workspace):
+        # a scatter divided by n is PSD up to rounding, so every file fdopt
+        # writes reads back, a rank-2 covariance of 5-d features too
+        single = workspace / "single.cfg"
+        single.write_text(
+            "[ensemble]\nrep.0.kind = quadratic\n", encoding="utf-8"
+        )
+        spec = load_config(str(single)).ensemble.specs[0]
+        rows = read_features(path(workspace, "train.bin"))[:3]
+        out = path(workspace, "rank.stats")
+        write_stats(out, stats_from_features(featurize(spec, rows)))
+        assert read_stats(out).dim == spec.out_dim
 
 
 class TestPipeline:

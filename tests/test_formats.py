@@ -481,6 +481,17 @@ class TestMetricsLog:
         with pytest.raises(DataError, match="fields"):
             metrics_log_text(["a"], [("train", 1, 0.0, 0.0)])
 
+    def test_write_of_a_wrong_width_row_keeps_the_old_file(self, tmp_path):
+        # the log is written as its rows arrive, so the short row raises
+        # after the good one is already in the temporary file
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"old log\n")
+        rows = [("train", 0, 0.0, 1.0, 2.0), ("train", 1, 0.0, 1.0)]
+        with pytest.raises(DataError, match="fields"):
+            write_metrics_log(str(path), ["a"], iter(rows))
+        assert path.read_bytes() == b"old log\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
+
     def test_read_rejects_malformed_row(self, tmp_path):
         path = str(tmp_path / "log.csv")
         with open(path, "w", encoding="utf-8") as handle:

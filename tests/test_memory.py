@@ -1,24 +1,40 @@
 """Memory guards: target draws, sampling, feature files and scoring stream
-fixed row blocks.
+fixed row blocks, and a training run's log grows by a few bytes a step.
 
 tracemalloc sees NumPy's array buffers, so the traced peak of a call is
 what it allocates beyond its inputs, which exist before tracing starts.
 """
 
+import gc
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from fdopt.cli import cli_dispatch
-from fdopt.formats import write_checkpoint, write_features
+from fdopt.config import load_config
+from fdopt.formats import (
+    metrics_log_text,
+    write_checkpoint,
+    write_features,
+    write_metrics_log,
+)
 from fdopt.frechet import split_stats
 from fdopt.metrics import build_report
 from fdopt.representations import RepresentationEnsemble, RepresentationSpec
 from fdopt.rng import SplitMix64
-from fdopt.trainer import GeneratorModel, MixtureTarget, generate, sample_target
+from fdopt.trainer import (
+    GeneratorModel,
+    MixtureTarget,
+    generate,
+    post_train,
+    sample_target,
+)
 
 ROWS = 131_072
 MB = 2**20
+DECOUPLING = Path(__file__).resolve().parent.parent / "configs" / "decoupling.cfg"
 
 
 def traced_peak(fn, *args):
@@ -66,7 +82,7 @@ def test_sample_peak_holds_no_full_noise_matrix(tmp_path):
     argv = ["sample", "--ckpt", ckpt, "--n", str(ROWS), "--out", str(tmp_path / "g.bin")]
     code, peak = traced_peak(cli_dispatch, argv)
     assert code == 0
-    # its two 4096 x 64 hidden buffers are 4 MB
+    # its two 1024 x 64 hidden tile buffers are 1 MB; 4096-row ones were 4 MB
     assert peak < 6 * MB
 
 
@@ -119,3 +135,49 @@ def test_fdr_peak_is_flat_in_split_size(tmp_path):
         peaks.append(peak)
     assert abs(peaks[1] - peaks[0]) < 1 * MB
     assert max(peaks) < 4 * MB
+
+
+def decoupling(steps):
+    config = load_config(str(DECOUPLING)).train
+    return replace(config, total_steps=steps, warmup_steps=steps // 20)
+
+
+def held_bytes(fn, *args):
+    """(result, bytes traced while fn ran that its result still holds)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        gc.collect()
+        return result, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_log_grows_by_its_row_per_step():
+    # a step's log row is lr, loss and two distances, 32 bytes of float64;
+    # one Python record per step held about 286 bytes
+    (_, short), short_bytes = held_bytes(post_train, decoupling(500))
+    (_, long), long_bytes = held_bytes(post_train, decoupling(2000))
+    assert len(list(long.rows())) - len(list(short.rows())) == 1500
+    assert (long_bytes - short_bytes) / 1500 <= 64
+
+
+def test_warm_start_peak_is_tiles_not_blocks():
+    # the reference draw, the 4096-row warm evaluation and the warm states;
+    # 4096-row hidden buffers alone were 4 MB of a 5 MB peak
+    (_, log), peak = traced_peak(post_train, decoupling(0))
+    assert [row[0] for row in log.rows()] == ["warm_start"]
+    assert peak < 2.5 * MB
+
+
+def test_metrics_log_is_written_as_its_text(tmp_path):
+    # written line by line from a generator of rows, as a log's rows() is
+    labels = ("rep0_identity", "rep1_tanh_rf")
+    stream = SplitMix64(4)
+    rows = [
+        ("train", step, *stream.uniforms(4).tolist()) for step in range(2500)
+    ]
+    path = tmp_path / "log.csv"
+    write_metrics_log(str(path), labels, iter(rows))
+    assert path.read_bytes() == metrics_log_text(labels, rows).encode("utf-8")

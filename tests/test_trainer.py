@@ -21,11 +21,13 @@ from fdopt.trainer import (
     FileTarget,
     MixtureTarget,
     OptState,
+    TILE_ROWS,
     TrainConfig,
     _buffers,
     _evaluate,
     _forward,
     _references,
+    _tiles,
     generate,
     generator_backprop,
     lr_at,
@@ -87,6 +89,22 @@ class TestGeneratorModel:
         ragged = z[: BLOCK_ROWS + 1]
         one = _forward(model, ragged, _buffers(model, len(ragged)))[-1]
         assert relative_error(generate(model, ragged), one) < 1e-12
+
+    @pytest.mark.parametrize("rows", [1, 1500, 2047, 2048, 3000, 4095, 6000])
+    def test_tiles_keep_each_blocks_bits(self, rows):
+        # a tile is never shorter than TILE_ROWS unless its whole block is,
+        # and tiles that long give every row the bits of one forward over
+        # the block
+        for block in (min(rows, BLOCK_ROWS), rows % BLOCK_ROWS):
+            tiles = _tiles(block)
+            assert tiles[0].start == 0 and tiles[-1].stop == block
+            assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+            assert all(t.stop - t.start >= min(TILE_ROWS, block) for t in tiles)
+        model = GeneratorModel.init([8, 64, 64, 2], seed=3)
+        z = SplitMix64(rows).normal_matrix(rows, 8)
+        blocks = [z[i : i + BLOCK_ROWS] for i in range(0, rows, BLOCK_ROWS)]
+        whole = [_forward(model, b, _buffers(model, len(b)))[-1].copy() for b in blocks]
+        assert generate(model, z).tobytes() == np.concatenate(whole).tobytes()
 
     def test_init_deterministic(self):
         a = GeneratorModel.init([4, 8, 2], seed=7)
@@ -415,8 +433,9 @@ class TestPostTrain:
         initial = GeneratorModel.init(cfg.layer_dims, cfg.seed)
         model, log = post_train(cfg, initial_model=initial)
         assert model.theta.tobytes() == initial.theta.tobytes()
-        assert len(log.records) == 1
-        assert log.records[0].phase == "warm_start"
+        rows = list(log.rows())
+        assert len(rows) == 1
+        assert rows[0][0] == "warm_start"
 
     def test_model_layers_must_match_config(self):
         # same noise and output widths, another hidden stack
@@ -434,7 +453,7 @@ class TestPostTrain:
         for arm in (Ema(0.0), Ema(0.9), queue):
             cfg = self.small_config(batch_size=4, warm_start_count=BLOCK_ROWS, estimator=arm)
             _, log = post_train(cfg)
-            rows.append(log.rows()[0])
+            rows.append(list(log.rows())[0])
         assert rows[0][0] == "warm_start"
         assert rows[1] == rows[0] and rows[2] == rows[0]
 
@@ -487,8 +506,9 @@ class TestPostTrain:
         )
         matched = GeneratorModel((2, 2), np.r_[np.eye(2).ravel(), np.zeros(2)])
         _, log = post_train(cfg, initial_model=matched)
-        warm, final = log.records[0], log.records[-1]
-        assert final.fds[0] <= 2.0 * warm.fds[0]
+        rows = list(log.rows())
+        warm, final = rows[0], rows[-1]
+        assert final[4] <= 2.0 * warm[4]
 
     @pytest.mark.parametrize("estimator", ["queue", "ema"])
     def test_end_to_end_gradient_matches_finite_differences(self, estimator):
@@ -525,7 +545,7 @@ class TestPostTrain:
         cfg = self.small_config(total_steps=8)
         model_a, log_a = post_train(cfg)
         model_b, log_b = post_train(cfg)
-        assert log_a.rows() == log_b.rows()
+        assert list(log_a.rows()) == list(log_b.rows())
         assert model_a.theta.tobytes() == model_b.theta.tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -578,7 +598,7 @@ class TestPostTrain:
             monkeypatch.setattr(trainer_module, name, counted, raising=False)
         model, log = post_train(cfg)
 
-        assert log.rows() == want_rows
+        assert list(log.rows()) == want_rows
         assert model.theta.tobytes() == want_model.theta.tobytes()
         # one estimator pass per representation per step; one generator
         # forward, one backward and one update per step, and the warm-start
@@ -689,23 +709,31 @@ class TestPostTrain:
         # the reference statistics stream the file through its block reader
         monkeypatch.setattr(trainer_module, "read_features", read_whole)
         model, log = post_train(cfg)
-        assert log.rows() == want_rows
+        assert list(log.rows()) == want_rows
         assert model.theta.tobytes() == want_model.theta.tobytes()
 
     def test_log_has_lr_and_loss_columns(self):
         cfg = self.small_config(total_steps=4, warmup_steps=2)
         _, log = post_train(cfg)
-        train_records = [r for r in log.records if r.phase == "train"]
-        assert [r.step for r in train_records] == [0, 1, 2, 3]
-        assert train_records[0].lr == 0.0
-        assert train_records[2].lr <= cfg.peak_lr
-        assert all(0.0 <= r.loss < 2.0 for r in train_records)
+        train_rows = [r for r in log.rows() if r[0] == "train"]
+        assert [r[1] for r in train_rows] == [0, 1, 2, 3]
+        assert train_rows[0][2] == 0.0
+        assert train_rows[2][2] <= cfg.peak_lr
+        assert all(0.0 <= r[3] < 2.0 for r in train_rows)
         assert log.labels == ("rep0_identity", "rep1_tanh_rf")
 
     def test_queue_capacity_below_batch_rejected(self):
         # a commit writes B rows into the ring, so the ring must hold them
         with pytest.raises(ConfigError, match="capacity"):
             self.small_config(estimator=Queue(3), batch_size=4)
+
+    @pytest.mark.parametrize("estimator", ["queue", None, 0.999])
+    def test_estimator_must_be_an_ema_or_a_queue(self, estimator):
+        # before the check, replace built this config and post_train failed
+        # after the reference draw with an AttributeError
+        cfg = load_config(str(CONFIGS / "decoupling.cfg")).train
+        with pytest.raises(ConfigError, match="estimator must be an Ema or a Queue"):
+            replace(cfg, estimator=estimator)
 
     def test_ensemble_dim_must_match_generator(self):
         with pytest.raises(ConfigError, match="in_dim"):
