@@ -49,7 +49,8 @@ def main() -> None:
         finals = []
         for seed in range(args.seeds):
             _, log = post_train(replace(base, seed=seed, estimator=estimator))
-            finals.append(log.final.fds[0])
+            # the last row stored is the final one: (lr, loss, identity FD, ...)
+            finals.append(float(log.table[log.filled - 1, 2]))
         runs = " ".join(f"{v:.4f}" for v in finals)
         print(
             f"{name:20s} median {statistics.median(finals):.4f}   "

@@ -9,9 +9,10 @@ a finite number, a log label that repeats or a row out of phase order);
 write failure). Each input is checked once, by its reader; `sample` and
 `train --init` run GeneratorModel(*read_checkpoint).
 A `train` step that fails (non-finite values or an eigensolver failure)
-is named by its step and representation; the run writes no checkpoint at
---out, writes the last model with all parameters finite to
-<out>.last_good and, with --log, the log rows of the steps before it.
+is named by its step and representation, a failed final evaluation by
+that and the representation; the run writes no checkpoint at --out,
+writes the last model with all parameters finite to <out>.last_good and,
+with --log, the log rows before the failure.
 
 Every run is single-threaded and deterministic given identical inputs:
 rerunning a command with the same seeds produces byte-identical outputs.

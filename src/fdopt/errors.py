@@ -38,9 +38,9 @@ class NumericalError(FdoptError):
 
 
 class StepError(NumericalError):
-    """A training step failed numerically: carries the step, the
-    representation label when one applies, the last model whose parameters
-    were all finite, and the metrics log of the steps before it."""
+    """A training step or the final evaluation failed numerically: carries
+    the step, the representation label when one applies, the last model
+    whose parameters were all finite, and the log of the steps before it."""
 
     def __init__(
         self, message: str, step: int, label=None, last_good_model=None, log=None

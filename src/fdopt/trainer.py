@@ -63,7 +63,6 @@ __all__ = [
     "MixtureTarget",
     "FileTarget",
     "TrainConfig",
-    "TrainRecord",
     "MetricsLog",
     "generate",
     "generate_blocks",
@@ -479,43 +478,29 @@ class TrainConfig:
 # metrics log
 
 
-@dataclass(frozen=True)
-class TrainRecord:
-    phase: str  # warm_start | train | final
-    step: int
-    lr: float
-    loss: float
-    fds: tuple[float, ...]
-
-    def row(self) -> tuple:
-        return (self.phase, self.step, self.lr, self.loss) + tuple(self.fds)
-
-
 class MetricsLog:
-    """A run's log: the warm_start record, one train row per completed step
-    and, once every step has run, the final record. The train rows are
-    (lr, loss, one distance per space) in one preallocated total_steps x
-    (2 + K) float64 array, 8 (2 + K) bytes a step."""
+    """A run's log: one preallocated (total_steps + 2) x (2 + K) float64
+    table of (lr, loss, one distance per space), 8 (2 + K) bytes a row, and
+    the count of rows stored. Row 0 is the warm_start row, row i + 1 the
+    train row of step i and row total_steps + 1 the final row, so a row's
+    phase and step follow from its position."""
 
-    def __init__(self, labels: tuple[str, ...], warm_start: TrainRecord, total_steps: int):
+    def __init__(self, labels: tuple[str, ...], total_steps: int):
         self.labels = labels
-        self.warm_start = warm_start
-        self.final: TrainRecord | None = None
-        self.train = np.empty((total_steps, 2 + len(labels)))
-        self.steps = 0  # train rows filled
+        self.table = np.empty((total_steps + 2, 2 + len(labels)))
+        self.filled = 0
 
-    def add_train(self, lr: float, loss: float, fds) -> None:
-        self.train[self.steps] = (lr, loss, *fds)
-        self.steps += 1
+    def add(self, lr: float, loss: float, fds) -> None:
+        self.table[self.filled] = (lr, loss, *fds)
+        self.filled += 1
 
     def rows(self):
-        """The log rows (phase, step, lr, loss, fd_0, ..., fd_{K-1}) in order,
-        made one at a time."""
-        yield self.warm_start.row()
-        for step in range(self.steps):
-            yield ("train", step, *self.train[step].tolist())
-        if self.final is not None:
-            yield self.final.row()
+        """The stored rows (phase, step, lr, loss, fd_0, ..., fd_{K-1}) in
+        order, made one at a time; row i is at step max(i - 1, 0)."""
+        final = len(self.table) - 1
+        for i in range(self.filled):
+            phase = "warm_start" if i == 0 else "final" if i == final else "train"
+            yield (phase, max(i - 1, 0), *self.table[i].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -534,21 +519,23 @@ def _references(config: TrainConfig) -> list[ReferenceStats]:
     return [make_reference(s) for s in stats]
 
 
-def _evaluate(config: TrainConfig, model: GeneratorModel, refs, noise_name: str):
+def _evaluate(config: TrainConfig, model: GeneratorModel, refs, noise_name: str, what: str):
     """Large-sample evaluation of a model: warm_start_count rows from the
     named noise stream, generated, with their stats and distance per space.
-    Returns (rows, stats, distances)."""
+    Returns (rows, stats, distances); an eigensolver failure is a
+    NumericalError naming the `what` evaluation and the space."""
     stream = SplitMix64(derive_seed(noise_name, config.seed))
     # drawn a tile at a time, the same values as one normal_matrix draw
     z = stream.normal_blocks(config.warm_start_count, config.z_dim, TILE_ROWS)
     x = generate(model, np.concatenate(list(z)))
     stats = split_stats(config.ensemble.specs, x, "generated samples")
-    return x, stats, [fd(ref, s) for ref, s in zip(refs, stats)]
-
-
-def _record(config: TrainConfig, phase: str, step: int, lr: float, fds) -> TrainRecord:
-    loss, _ = ensemble_loss(config.ensemble, fds)
-    return TrainRecord(phase, step, lr, loss, tuple(fds))
+    fds = []
+    for label, ref, s in zip(rep_labels(config.ensemble), refs, stats):
+        try:
+            fds.append(fd(ref, s))
+        except NumericalError as err:
+            raise NumericalError(f"{what} evaluation, {label}: {err}") from err
+    return x, stats, fds
 
 
 def post_train(
@@ -566,11 +553,13 @@ def post_train(
     featurize_backprop, scaled by normalized_term of its own distance. The
     ensemble_loss is checked before the update; the estimators commit after.
 
-    The log holds one warm_start record (_evaluate of the starting model,
-    the step-0 distance), one train row per step with the
-    estimator-based distances that produced the loss, and — when any steps
-    ran — one final record evaluated like the warm-start one. The warm
-    evaluation also starts the estimator's states (Ema.warm_states,
+    The log's row 0 is the warm_start row (_evaluate of the starting
+    model, the step-0 distance); row i + 1 is the train row of step i, with
+    the estimator-based distances that produced its loss; and, when any
+    steps ran, row total_steps + 1 is the final row, evaluated like the
+    warm-start one. A failed final evaluation is a StepError naming it and
+    the space, carrying the trained model and the log of every step. The
+    warm evaluation also starts the estimator's states (Ema.warm_states,
     Queue.warm_states).
     """
     model = initial_model
@@ -581,15 +570,15 @@ def post_train(
             f"model layers {model.layer_dims} do not match config layers "
             f"{config.layer_dims}"
         )
+    ensemble = config.ensemble
     refs = _references(config)
-    xw, warm_stats, warm_fds = _evaluate(config, model, refs, "warm-start-noise")
-    warm = _record(config, "warm_start", 0, 0.0, warm_fds)
-    log = MetricsLog(rep_labels(config.ensemble), warm, config.total_steps)
-    states = config.estimator.warm_states(config.ensemble.specs, xw, warm_stats)
+    xw, warm_stats, fds = _evaluate(config, model, refs, "warm-start-noise", "warm-start")
+    log = MetricsLog(rep_labels(ensemble), config.total_steps)
+    log.add(0.0, ensemble_loss(ensemble, fds)[0], fds)
+    states = config.estimator.warm_states(ensemble.specs, xw, warm_stats)
 
     fit = _Fit(model, config.batch_size, config.beta1, config.beta2, config.weight_decay)
     noise = SplitMix64(derive_seed("train-noise", config.seed))
-    ensemble = config.ensemble
     reps = list(zip(ensemble.specs, refs, ensemble.weights, log.labels, states))
     # a failed step leaves as one StepError naming the step and the map,
     # with the last good model and the log so far; NumPy's warnings ahead
@@ -631,7 +620,7 @@ def post_train(
                 fit.update(acts, sample_grads, lr, step)
                 for state, f, s in commits:
                     state.commit(f, s)
-                log.add_train(lr, loss, fds)
+                log.add(lr, loss, fds)
     except NonFiniteLossError as err:
         err.log = log
         raise
@@ -641,10 +630,14 @@ def post_train(
         raise StepError(message, step, label, fit.model, log) from err
     model = fit.model
 
-    if config.total_steps > 0:
-        _, _, fds = _evaluate(config, model, refs, "final-eval-noise")
-        steps = config.total_steps
-        log.final = _record(config, "final", steps, lr_at(steps, config), fds)
+    steps = config.total_steps
+    if steps > 0:
+        try:
+            _, _, fds = _evaluate(config, model, refs, "final-eval-noise", "final")
+        except NumericalError as err:
+            # every step ran: keep the trained model and its log for recovery
+            raise StepError(str(err), steps, None, model, log) from err
+        log.add(lr_at(steps, config), ensemble_loss(ensemble, fds)[0], fds)
     return model, log
 
 

@@ -33,6 +33,7 @@ from fdopt.trainer import (
     FileTarget,
     GeneratorModel,
     generate,
+    post_train,
     pretrain_regression,
     sample_target,
 )
@@ -652,34 +653,45 @@ class TestPipeline:
         [
             ("eigh", "step 96, rep1_tanh_rf: eigendecomposition of congruence", 96),
             ("peak_lr", "non-finite features at step 2 in rep0_identity", 2),
+            # the last eigendecomposition of a run is in its final evaluation
+            ("last_eigh", "final evaluation, rep1_tanh_rf: eigendecomposition of", None),
         ],
-        ids=["lapack", "divergence"],
+        ids=["lapack", "divergence", "final_evaluation"],
     )
     def test_failed_step_keeps_last_good_model_and_log(
         self, tmp_path, monkeypatch, capsys, failure, message, step
     ):
         shipped = ROOT / "configs" / "decoupling.cfg"
         text = load_script("output_digests").cut(shipped.read_text(encoding="utf-8"))
-        if failure == "eigh":
+        config, out, log = (tmp_path / n for n in ("run.cfg", "m.ckpt", "log.csv"))
+        if failure == "peak_lr":
+            text = text.replace("peak_lr = 0.0003", "peak_lr = 1e307")
+        config.write_text(text, encoding="utf-8")
+        if failure != "peak_lr":
             calls, eigh = [], np.linalg.eigh
+            fail_at = 200 if failure == "eigh" else None
 
             def failing_eigh(a):
                 calls.append(a)
-                if len(calls) == 200:
+                if len(calls) == fail_at:
                     raise np.linalg.LinAlgError("Eigenvalues did not converge")
                 return eigh(a)
 
             monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-        else:
-            text = text.replace("peak_lr = 0.0003", "peak_lr = 1e307")
-        config, out, log = (tmp_path / n for n in ("run.cfg", "m.ckpt", "log.csv"))
-        config.write_text(text, encoding="utf-8")
+            if failure == "last_eigh":
+                # count the calls of a whole run, then fail the last one
+                train = load_config(str(config)).train
+                trained, _ = post_train(train)
+                fail_at, step = len(calls), train.total_steps
+                calls.clear()
         argv = ["train", "--config", config, "--out", out, "--log", log]
         assert cli_dispatch(map(str, argv)) == 3
         assert f"numerical failure: {message}" in capsys.readouterr().err
         assert not out.exists()
         _, theta = read_checkpoint(f"{out}.last_good")
         assert np.isfinite(theta).all()
+        if failure == "last_eigh":
+            assert theta.tobytes() == trained.theta.tobytes()
         _, rows = read_metrics_log(str(log))
         assert [row[:2] for row in rows] == [("warm_start", 0)] + [
             ("train", i) for i in range(step)

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from fdopt.config import load_config
-from fdopt.errors import ConfigError, DataError, NonFiniteLossError
+from fdopt.errors import (
+    ConfigError,
+    DataError,
+    NonFiniteLossError,
+    NumericalError,
+    StepError,
+)
 from fdopt.estimators import Ema, EmaState, Queue, QueueState, backprop_estimate, estimate
 from fdopt.frechet import BLOCK_ROWS, fd, fd_with_grad, make_reference
 from fdopt.representations import (
@@ -19,6 +25,7 @@ from fdopt.rng import SplitMix64, derive_seed
 from fdopt.trainer import (
     GeneratorModel,
     FileTarget,
+    MetricsLog,
     MixtureTarget,
     OptState,
     TILE_ROWS,
@@ -404,6 +411,22 @@ def reference_post_train(config):
     return model, out
 
 
+class TestMetricsLog:
+    @pytest.mark.parametrize("stored", [1, 3, 4])
+    def test_phase_and_step_follow_from_position(self, stored):
+        # a 2-step run's table: warm_start, train steps 0 and 1, final at 2
+        want = [
+            ("warm_start", 0, 0.0, 1.0, 2.0),
+            ("train", 0, 0.5, 3.0, 4.0),
+            ("train", 1, 0.25, 5.0, 6.0),
+            ("final", 2, 0.0, 7.0, 8.0),
+        ][:stored]
+        log = MetricsLog(("a",), total_steps=2)
+        for _, _, lr, loss, value in want:
+            log.add(lr, loss, [value])
+        assert list(log.rows()) == want
+
+
 class TestPostTrain:
     def small_config(self, **kw):
         ens = RepresentationEnsemble(
@@ -469,7 +492,7 @@ class TestPostTrain:
         drawn = []
         for cfg in (ema, queue):
             refs = _references(cfg)
-            x, _, fds = _evaluate(cfg, model, refs, "warm-start-noise")
+            x, _, fds = _evaluate(cfg, model, refs, "warm-start-noise", "warm-start")
             assert x.shape[0] == n
             stats = [(r.stats.mu.tobytes(), r.stats.sigma.tobytes()) for r in refs]
             drawn.append((stats, x.tobytes(), fds))
@@ -561,6 +584,20 @@ class TestPostTrain:
         assert str(err) == "non-finite features at step 2 in rep0_identity"
         assert err.last_good_model is not None
         assert np.isfinite(err.last_good_model.theta).all()
+
+    def test_warm_start_evaluation_failure_names_it_and_the_space(self, monkeypatch):
+        # nothing has been trained yet, so there is nothing to recover
+        def failing_fd(ref, gen):
+            raise NumericalError("eigendecomposition of congruence R C R failed")
+
+        monkeypatch.setattr("fdopt.trainer.fd", failing_fd)
+        with pytest.raises(NumericalError) as info:
+            post_train(self.small_config())
+        assert str(info.value) == (
+            "warm-start evaluation, rep0_identity: "
+            "eigendecomposition of congruence R C R failed"
+        )
+        assert not isinstance(info.value, StepError)
 
     @pytest.mark.parametrize(
         "estimator, weights",
